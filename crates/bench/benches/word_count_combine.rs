@@ -1,12 +1,11 @@
 //! A5: map-side combining on the word-count corpus (paper §3.4).
 //!
-//! The same 20 000-word Zipf-distributed `mapReduce` runs with the
-//! combiner engaged (`CombinePolicy::Auto` recognises the summing
-//! reducer) and forced off (`Disabled` — every mapper pair reaches the
-//! shuffle). With ~105 distinct words and 4 worker chunks, combining
-//! shrinks shuffle volume from 20 000 pairs to at most 4 × 105 — the
-//! `shuffle.pairs_combined` counter records the elimination, and the
-//! differential suites prove the output identical either way.
+//! A 20 000-word Zipf-distributed `mapReduce` whose summing reducer the
+//! shuffle recognises as an associative fold, so each of the 4 worker
+//! chunks folds its values per key: ~105 distinct words leave at most
+//! 4 × 105 partials for the reduce. The `shuffle.pairs_combined` counter
+//! records the elimination, and the differential suites prove the output
+//! identical to the uncombined reference.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -16,8 +15,7 @@ use std::time::Duration;
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
 use snap_data::generate_words;
-use snap_parallel::{map_reduce_with_combine, CombinePolicy};
-use snap_workers::RingMapOptions;
+use snap_parallel::map_reduce;
 
 const WORDS: usize = 20_000;
 const WORKERS: usize = 4;
@@ -48,30 +46,11 @@ fn bench_word_count_combine(c: &mut Criterion) {
         .map(Value::from)
         .collect();
 
-    for (name, policy) in [
-        ("combiner_on", CombinePolicy::Auto),
-        ("combiner_off", CombinePolicy::Disabled),
-    ] {
-        let items = items.clone();
-        group.bench_function(name, move |b| {
-            b.iter(|| {
-                let options = RingMapOptions {
-                    workers: WORKERS,
-                    ..RingMapOptions::default()
-                };
-                black_box(
-                    map_reduce_with_combine(
-                        mapper(),
-                        reducer(),
-                        black_box(items.clone()),
-                        options,
-                        policy,
-                    )
-                    .unwrap(),
-                )
-            })
-        });
-    }
+    group.bench_function("combiner_on", move |b| {
+        b.iter(|| {
+            black_box(map_reduce(mapper(), reducer(), black_box(items.clone()), WORKERS).unwrap())
+        })
+    });
     group.finish();
 }
 

@@ -79,8 +79,8 @@ fn e14() {
     let items = number_items(10_000);
     let out = snap_parallel::parallel_map(ring, items, 4).expect("traced parallel map");
     assert_eq!(out.len(), 10_000);
-    // Exercise the parallel shuffle too: word count over a corpus large
-    // enough to cross the threshold.
+    // Exercise the shuffle too: word count over a corpus large enough
+    // for 4 chunk tables to merge.
     let mapper = std::sync::Arc::new(snap_ast::Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),

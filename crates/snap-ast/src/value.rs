@@ -146,10 +146,10 @@ impl List {
         f(&self.read())
     }
 
-    /// Sort the list in place with Snap!'s default ordering
-    /// (numeric when both sides are numeric, else textual).
+    /// Sort the list in place (stable) with the total key order
+    /// [`Value::key_cmp`]: numbers first, then NaN, then text.
     pub fn sort(&self) {
-        self.write().sort_by(Value::snap_cmp);
+        self.write().sort_by(Value::key_cmp);
     }
 }
 
@@ -307,24 +307,50 @@ impl Value {
         }
     }
 
-    /// Ordering used by `<`/`>` blocks and list sorting: numeric when both
-    /// sides coerce to numbers, otherwise case-insensitive textual.
+    /// The number a comparison sees: numbers, numeric text, booleans.
+    fn comparable_number(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            Value::Text(s) => s.trim().parse::<f64>().ok(),
+            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
+            _ => None,
+        }
+    }
+
+    /// Ordering used by the `<`/`>` blocks: numeric when both sides
+    /// coerce to numbers, otherwise case-insensitive textual.
+    ///
+    /// This is not a total order — NaN compares equal to every number,
+    /// and mixed keys can cycle (`9 < 10 < "10th" < 9`) — so sorting
+    /// uses [`Value::key_cmp`] instead.
     pub fn snap_cmp(&self, other: &Value) -> std::cmp::Ordering {
         use std::cmp::Ordering;
-        let numeric = |v: &Value| -> Option<f64> {
-            match v {
-                Value::Number(n) => Some(*n),
-                Value::Text(s) => s.trim().parse::<f64>().ok(),
-                Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-                _ => None,
-            }
-        };
-        match (numeric(self), numeric(other)) {
+        match (self.comparable_number(), other.comparable_number()) {
             (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-            _ => self
-                .to_display_string()
-                .to_ascii_lowercase()
-                .cmp(&other.to_display_string().to_ascii_lowercase()),
+            _ => lowercase_cmp(&self.to_display_string(), &other.to_display_string()),
+        }
+    }
+
+    /// The total key order used by list sorting and the MapReduce
+    /// shuffle: values that coerce to a number (as in
+    /// [`Value::snap_cmp`]) come first, by value with `-0 = 0`; then
+    /// NaN; then everything else by case-insensitive display text.
+    ///
+    /// It agrees with `snap_cmp` on numbers, on text, and on mixes where
+    /// every number sorts textually before every word.
+    pub fn key_cmp(&self, other: &Value) -> std::cmp::Ordering {
+        use std::cmp::Ordering;
+        match (self.comparable_number(), other.comparable_number()) {
+            (Some(a), Some(b)) => match (a.is_nan(), b.is_nan()) {
+                (false, false) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+                (a_nan, b_nan) => a_nan.cmp(&b_nan),
+            },
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => match (self, other) {
+                (Value::Text(a), Value::Text(b)) => lowercase_cmp(a, b),
+                _ => lowercase_cmp(&self.to_display_string(), &other.to_display_string()),
+            },
         }
     }
 
@@ -342,6 +368,13 @@ impl Value {
             Value::Ring(r) => format!("<ring {}>", r.describe()),
         }
     }
+}
+
+/// Compare two strings as their ASCII-lowercased forms, without
+/// building them.
+fn lowercase_cmp(a: &str, b: &str) -> std::cmp::Ordering {
+    let a = a.bytes().map(|c| c.to_ascii_lowercase());
+    a.cmp(b.bytes().map(|c| c.to_ascii_lowercase()))
 }
 
 impl fmt::Debug for Value {
@@ -536,5 +569,83 @@ mod tests {
         let l = List::from_vec(vec![10.into(), 2.into(), 33.into()]);
         l.sort();
         assert_eq!(l.to_vec(), vec![2.into(), 10.into(), 33.into()]);
+    }
+
+    /// Keys `snap_cmp` cannot order consistently: NaN, signed zeros,
+    /// infinities, numeric text, and words that sort before digits.
+    fn awkward_keys() -> Vec<Value> {
+        vec![
+            Value::Number(9.0),
+            Value::Number(10.0),
+            Value::text("10th"),
+            Value::Number(f64::NAN),
+            Value::text("NaN"),
+            Value::Number(0.0),
+            Value::Number(-0.0),
+            Value::Number(f64::INFINITY),
+            Value::text("-inf"),
+            Value::text(" 5 "),
+            Value::text("#tag"),
+            Value::text("Apple"),
+            Value::text("apple"),
+            Value::Bool(true),
+            Value::Nothing,
+            Value::list(vec![1.into()]),
+        ]
+    }
+
+    #[test]
+    fn key_cmp_is_a_total_order() {
+        use std::cmp::Ordering;
+        let keys = awkward_keys();
+        for a in &keys {
+            assert_eq!(a.key_cmp(a), Ordering::Equal, "{a:?} not equal to itself");
+            for b in &keys {
+                assert_eq!(a.key_cmp(b), b.key_cmp(a).reverse(), "{a:?} vs {b:?}");
+                for c in &keys {
+                    if a.key_cmp(b) != Ordering::Greater && b.key_cmp(c) != Ordering::Greater {
+                        assert_ne!(a.key_cmp(c), Ordering::Greater, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn key_cmp_puts_numbers_then_nan_then_text() {
+        // The snap_cmp cycle 9 < 10 < "10th" < 9 is cut: numbers first.
+        let l = List::from_vec(vec![
+            Value::text("10th"),
+            Value::Number(f64::NAN),
+            Value::Number(10.0),
+            Value::text("#tag"),
+            Value::Number(-0.0),
+            Value::Number(9.0),
+            Value::Number(0.0),
+        ]);
+        l.sort();
+        let sorted = l.to_vec();
+        assert_eq!(sorted[0].to_number().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(sorted[1].to_number().to_bits(), 0.0f64.to_bits()); // stable: -0 = 0
+        assert_eq!(sorted[2..4], [Value::Number(9.0), Value::Number(10.0)]);
+        assert!(sorted[4].to_number().is_nan());
+        assert_eq!(sorted[5..], [Value::text("#tag"), Value::text("10th")]);
+    }
+
+    #[test]
+    fn sorting_many_nans_does_not_panic() {
+        let items: Vec<Value> = (0..64)
+            .map(|i| match i % 5 {
+                0 => Value::Number(f64::NAN),
+                1 => Value::text("NaN"),
+                _ => Value::Number(((i * 37) % 23) as f64),
+            })
+            .collect();
+        let l = List::from_vec(items);
+        l.sort();
+        let sorted = l.to_vec();
+        for pair in sorted.windows(2) {
+            assert_ne!(pair[0].key_cmp(&pair[1]), std::cmp::Ordering::Greater);
+        }
     }
 }

@@ -31,7 +31,7 @@ use snap_workers::{
     FaultPolicy, RingMapError, RingMapOptions,
 };
 
-use crate::shuffle::{combine_pairs, shuffle};
+use crate::shuffle::group_by;
 
 /// Record one block-level degradation to sequential execution.
 fn record_degraded(block: &'static str, err: &ExecError) {
@@ -56,15 +56,15 @@ fn sequential_ring_map(ring: Arc<Ring>, items: &[Value]) -> Result<Vec<Value>, E
 /// path of the reduce phase.
 fn sequential_reduce_groups(
     ring: Arc<Ring>,
-    groups: Vec<(Value, Vec<Value>)>,
+    groups: &[(Value, Vec<Value>)],
 ) -> Result<Vec<Value>, EvalError> {
     let f = compile_cached(&ring)?;
     groups
-        .into_iter()
+        .iter()
         .map(|(key, values)| {
             let arg = Value::list(values.iter().map(Value::deep_copy).collect());
             f.call1(arg)
-                .map(|reduced| Value::list(vec![key, reduced.deep_copy()]))
+                .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
         })
         .collect()
 }
@@ -114,10 +114,7 @@ pub fn parallel_map_with_options(
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("parallel_map", "items" => items.len());
-    // Values are cheap (shallow) to clone; keep a copy so the degraded
-    // path can re-run the map after the pooled attempt consumed `items`.
-    let fallback = items.clone();
-    match ring_map_faulted(ring.clone(), items, options) {
+    match ring_map_faulted(ring.clone(), &items, options) {
         Ok(out) => Ok(out),
         Err(RingMapError::Eval(e)) => Err(e),
         Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
@@ -125,13 +122,13 @@ pub fn parallel_map_with_options(
         }
         Err(RingMapError::Exec(e)) => {
             record_degraded("parallel_map", &e);
-            sequential_ring_map(ring, &fallback)
+            sequential_ring_map(ring, &items)
         }
     }
 }
 
 /// `mapReduce <mapper> <reducer> over <list>` (paper §3.4): parallel map
-/// phase producing `[key, value]` pairs, sort-by-key shuffle, then a
+/// phase producing `[key, value]` pairs, the [`group_by`] shuffle, then a
 /// parallel reduce phase — one reducer call per key, receiving that key's
 /// value list. Returns `[key, reduced]` pairs in key order.
 pub fn map_reduce(
@@ -171,24 +168,9 @@ pub fn map_reduce_with_policy(
     )
 }
 
-/// Whether `mapReduce` may partially reduce pairs on the map side
-/// before the shuffle (see [`map_reduce_with_combine`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CombinePolicy {
-    /// Combine when the reducer is detected associative
-    /// ([`associative_fold_op`]) and the pair count makes it worthwhile.
-    #[default]
-    Auto,
-    /// Never combine: every mapper-emitted pair reaches the shuffle.
-    Disabled,
-}
-
-/// Below this many pairs the combiner's per-key bookkeeping costs more
-/// than the shuffle volume it saves.
-pub const COMBINE_MIN_PAIRS: usize = 32;
-
-/// Detect a reducer whose whole body is an associative fold, so partial
-/// per-chunk reductions can safely happen before the shuffle.
+/// Detect a reducer whose whole body is an associative fold, so the
+/// shuffle may fold each chunk's values per key before the reduce (the
+/// map-side combine).
 ///
 /// The check is deliberately *syntactic and conservative*: the body must
 /// be exactly `combine <vals> using (<a> ⊕ <b>)` where `<vals>` is the
@@ -240,35 +222,20 @@ pub fn associative_fold_op(reducer: &Ring) -> Option<BinOp> {
     operands_are_own_inputs.then_some(*op)
 }
 
-/// [`map_reduce`] with full execution options. Each phase degrades to
-/// its sequential path independently (a healthy reduce still runs
-/// pooled even when the map phase had to degrade). Map-side combining
-/// runs under the default [`CombinePolicy::Auto`].
+/// [`map_reduce`] with full execution options. When
+/// [`associative_fold_op`] recognizes the reducer, the shuffle folds
+/// each chunk's values per key, so the reduce sees one partial per chunk
+/// instead of every value. Each phase degrades to its sequential path
+/// independently (a healthy reduce still runs pooled even when the map
+/// phase had to degrade); the degraded paths re-read the borrowed input.
 pub fn map_reduce_with_options(
     mapper: Arc<Ring>,
     reducer: Arc<Ring>,
     items: Vec<Value>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
-    map_reduce_with_combine(mapper, reducer, items, options, CombinePolicy::Auto)
-}
-
-/// [`map_reduce`] with full execution options and an explicit
-/// [`CombinePolicy`]. Under `Auto`, when [`associative_fold_op`]
-/// recognizes the reducer, each worker partially reduces its chunk's
-/// pairs by key *before* the shuffle — shrinking shuffle volume from
-/// O(items) to O(workers × keys) with identical output (the reducer then
-/// folds per-chunk partials exactly as it would have folded raw values).
-pub fn map_reduce_with_combine(
-    mapper: Arc<Ring>,
-    reducer: Arc<Ring>,
-    items: Vec<Value>,
-    options: RingMapOptions,
-    combine: CombinePolicy,
-) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("map_reduce", "items" => items.len());
-    let fallback_items = items.clone();
-    let pairs = match ring_map_pairs_faulted(mapper.clone(), items, options) {
+    let pairs = match ring_map_pairs_faulted(mapper.clone(), &items, options) {
         Ok(pairs) => pairs,
         Err(RingMapError::Eval(e)) => return Err(e),
         Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
@@ -276,24 +243,15 @@ pub fn map_reduce_with_combine(
         }
         Err(RingMapError::Exec(e)) => {
             record_degraded("map_reduce (map phase)", &e);
-            sequential_ring_map(mapper, &fallback_items)?
+            sequential_ring_map(mapper, &items)?
                 .into_iter()
                 .map(as_map_pair)
                 .collect::<Result<Vec<(Value, Value)>, EvalError>>()?
         }
     };
-    let pairs = match combine {
-        CombinePolicy::Auto if pairs.len() >= COMBINE_MIN_PAIRS => {
-            match associative_fold_op(&reducer) {
-                Some(op) => combine_pairs(pairs, op, options.workers, options.exec),
-                None => pairs,
-            }
-        }
-        _ => pairs,
-    };
-    let groups = shuffle(pairs);
-    let fallback_groups = groups.clone();
-    match ring_reduce_groups_faulted(reducer.clone(), groups, options) {
+    let fold = associative_fold_op(&reducer);
+    let groups = group_by(&pairs, fold, options.workers, options.exec);
+    match ring_reduce_groups_faulted(reducer.clone(), &groups, options) {
         Ok(out) => Ok(out),
         Err(RingMapError::Eval(e)) => Err(e),
         Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
@@ -301,7 +259,7 @@ pub fn map_reduce_with_combine(
         }
         Err(RingMapError::Exec(e)) => {
             record_degraded("map_reduce (reduce phase)", &e);
-            sequential_reduce_groups(reducer, fallback_groups)
+            sequential_reduce_groups(reducer, &groups)
         }
     }
 }
@@ -501,38 +459,27 @@ mod tests {
     }
 
     #[test]
-    fn combiner_output_matches_disabled_exactly() {
-        use super::{map_reduce_with_combine, CombinePolicy};
-        use snap_workers::RingMapOptions;
+    fn combiner_output_matches_uncombined_exactly() {
+        use crate::shuffle::shuffle_seq;
+        use snap_workers::{ring_map_pairs, ring_reduce_groups, RingMapOptions};
         // A word corpus big enough to clear COMBINE_MIN_PAIRS, with heavy
         // key repetition and case variation.
         let words = ["the", "The", "fox", "dog", "THE", "a", "dog"];
         let items: Vec<Value> = (0..400).map(|i| words[i % words.len()].into()).collect();
+        let combined_before = snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get();
+        let on =
+            run_map_reduce(word_count_mapper(), word_count_reducer(), items.clone(), 4).unwrap();
+        assert!(
+            snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get() > combined_before,
+            "an associative reducer must fold in the shuffle"
+        );
+        // The uncombined reference: every mapper pair through shuffle_seq.
         let options = RingMapOptions {
             workers: 4,
             ..Default::default()
         };
-        let combined_before = snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get();
-        let on = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items.clone(),
-            options,
-            CombinePolicy::Auto,
-        )
-        .unwrap();
-        assert!(
-            snap_trace::well_known::SHUFFLE_PAIRS_COMBINED.get() > combined_before,
-            "Auto must actually combine on an associative reducer"
-        );
-        let off = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items,
-            options,
-            CombinePolicy::Disabled,
-        )
-        .unwrap();
+        let pairs = ring_map_pairs(word_count_mapper(), items, options).unwrap();
+        let off = ring_reduce_groups(word_count_reducer(), shuffle_seq(pairs), options).unwrap();
         assert_eq!(on, off, "combining must not change output or ordering");
     }
 

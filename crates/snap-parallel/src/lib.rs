@@ -31,12 +31,9 @@ pub mod stream;
 
 pub use backend::{install, install_with, WorkerBackend};
 pub use blocks::{
-    associative_fold_op, map_reduce, map_reduce_with_combine, map_reduce_with_options,
-    map_reduce_with_policy, parallel_for_each, parallel_map, parallel_map_with_options,
-    parallel_map_with_policy, CombinePolicy, COMBINE_MIN_PAIRS,
+    associative_fold_op, map_reduce, map_reduce_with_options, map_reduce_with_policy,
+    parallel_for_each, parallel_map, parallel_map_with_options, parallel_map_with_policy,
 };
 pub use distributed::{distributed_map, strong_scaling_sweep, ClusterSpec, DistributedOutcome};
-pub use shuffle::{
-    combine_pairs, shuffle, shuffle_parallel, shuffle_seq, PARALLEL_SHUFFLE_THRESHOLD,
-};
+pub use shuffle::{combine_pairs, group_by, shuffle, shuffle_seq, COMBINE_MIN_PAIRS};
 pub use stream::{Emitter, Pipeline, StreamConfig, StreamStats};

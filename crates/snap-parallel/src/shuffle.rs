@@ -1,187 +1,45 @@
-//! The shuffle between MapReduce's phases.
+//! The shuffle between MapReduce's phases, as one hash group-by.
 //!
 //! "The elements of the intermediate result are sorted by the value of
 //! the key in between the map function and the reduce function, as
 //! required by the semantics of MapReduce" (paper §3.4, footnote 6).
+//! Only the output order is required, so [`group_by`] never sorts the
+//! pairs themselves. Each chunk of pairs fills a hash table of groups
+//! (folding values in place when the reducer is an associative fold, the
+//! map-side combine); the chunk tables merge in chunk order, which keeps
+//! every key's values in emission order; and only the distinct keys are
+//! sorted, with the total key order [`Value::key_cmp`]. That is
+//! O(n + k log k) for n pairs and k keys.
 //!
-//! Small inputs use the original sequential stable sort. Large inputs
-//! are shuffled in parallel: pairs are hash-partitioned across workers
-//! by a canonical key (chosen so `snap_cmp`-equal keys always share a
-//! bucket), each bucket is stable-sorted with [`Value::snap_cmp`] on the
-//! worker pool, and the sorted buckets are merged. Because equal keys
-//! can never sit in different buckets, the merge reproduces the
-//! sequential stable sort exactly, and the grouping pass is unchanged.
+//! [`shuffle_seq`] — one stable sort of every pair, then one grouping
+//! scan — is the reference: `group_by` returns exactly what it returns
+//! (after [`combine_pairs`] when folding).
+
+use std::collections::HashMap;
+use std::time::Instant;
 
 use snap_ast::pure::eval_binop;
 use snap_ast::{BinOp, Value};
 use snap_trace::well_known as metrics;
 use snap_workers::{default_workers, map_slice_with, ExecMode, Strategy};
 
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
+/// Below this many pairs one table is built on the calling thread:
+/// handing chunks to workers costs more than it saves.
+pub const COMBINE_MIN_PAIRS: usize = 32;
 
-/// Below this many pairs the partition/merge overhead outweighs the
-/// parallel sort.
-pub const PARALLEL_SHUFFLE_THRESHOLD: usize = 2048;
-
-/// A pair tagged with its pre-computed canonical key.
-type KeyedPair = (CanonKey, (Value, Value));
-
-/// Sort `[key, value]` pairs by key (stable, so mapper output order is
-/// preserved within a key) and group equal keys. Dispatches to the
-/// parallel path for inputs of [`PARALLEL_SHUFFLE_THRESHOLD`] pairs or
-/// more — with at least two buckets, so the threshold contract holds
-/// even on single-core hosts (where `default_workers()` is 1 and the
-/// pool simply oversubscribes).
+/// Sort `[key, value]` pairs by key and group equal keys, keeping each
+/// key's values in emission order, on [`default_workers`] workers.
 pub fn shuffle(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
-    if pairs.len() >= PARALLEL_SHUFFLE_THRESHOLD {
-        shuffle_parallel(pairs, default_workers().max(2), ExecMode::Pooled)
-    } else {
-        shuffle_seq(pairs)
-    }
+    group_by(&pairs, None, default_workers(), ExecMode::Pooled)
 }
 
-/// The sequential shuffle: one stable sort, one grouping pass.
+/// The reference shuffle: one stable sort of every pair by
+/// [`Value::key_cmp`], then one scan that groups `loose_eq` neighbours.
 pub fn shuffle_seq(mut pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     metrics::SHUFFLE_SEQ_RUNS.incr();
     metrics::SHUFFLE_PAIRS.add(pairs.len() as u64);
     let _span = snap_trace::span!("shuffle.seq", "pairs" => pairs.len());
-    pairs.sort_by(|a, b| a.0.snap_cmp(&b.0));
-    group_sorted(pairs)
-}
-
-/// The parallel shuffle, with explicit worker count and execution mode.
-pub fn shuffle_parallel(
-    pairs: Vec<(Value, Value)>,
-    workers: usize,
-    exec: ExecMode,
-) -> Vec<(Value, Vec<Value>)> {
-    let workers = workers.max(1);
-    if workers == 1 || pairs.len() <= 1 {
-        return shuffle_seq(pairs);
-    }
-    metrics::SHUFFLE_PARALLEL_RUNS.incr();
-    metrics::SHUFFLE_PAIRS.add(pairs.len() as u64);
-    // The innermost span open at entry — the map_reduce (or parallelMap)
-    // that produced these pairs. The merge span links to it explicitly:
-    // by merge time the map-phase spans are closed, so the link is the
-    // durable causal edge from the merge back to its originating call.
-    let origin = snap_trace::current_span_id();
-    let _span = snap_trace::span!("shuffle.parallel", "pairs" => pairs.len());
-
-    // Compute each pair's canonical key exactly once. The partition, the
-    // bucket sorts, and the merge all compare/hash this cached digest —
-    // previously every comparison re-derived the numeric coercion and
-    // lowercased display string from the raw key.
-    let bucket_count = workers;
-    let mut buckets: Vec<Vec<KeyedPair>> = (0..bucket_count).map(|_| Vec::new()).collect();
-    {
-        let _span = snap_trace::span!("shuffle.partition", workers);
-        for pair in pairs {
-            let canon = CanonKey::new(&pair.0);
-            let slot = (canon.bucket_hash() % bucket_count as u64) as usize;
-            buckets[slot].push((canon, pair));
-        }
-    }
-    for bucket in &buckets {
-        metrics::SHUFFLE_PARTITION_SIZE.record(bucket.len() as u64);
-    }
-
-    // Stable-sort each bucket on the pool. Buckets are disjoint; the
-    // per-bucket mutex is uncontended and only satisfies the shared-ref
-    // signature of the parallel map.
-    let buckets: Vec<Mutex<Vec<KeyedPair>>> = buckets.into_iter().map(Mutex::new).collect();
-    {
-        let _span = snap_trace::span!("shuffle.sort", workers);
-        map_slice_with(&buckets, workers, Strategy::Dynamic, exec, |bucket| {
-            bucket
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .sort_by(|a, b| a.0.cmp_canon(&b.0));
-        });
-    }
-
-    // K-way merge through a binary heap keyed by the cached canonical
-    // key: each emitted pair costs O(log buckets) instead of the old
-    // O(buckets) linear leader scan. Heads from different buckets are
-    // never canon-equal (equal keys share a bucket), but the heap still
-    // tie-breaks on the (impossible for well-behaved keys) tie by
-    // preferring the earliest bucket — the same order the linear scan
-    // produced — so the merge reproduces the stable sort exactly.
-    let merge_started = Instant::now();
-    let _merge_span =
-        snap_trace::span_linked_with("shuffle.merge", "buckets", buckets.len() as u64, origin);
-    let buckets: Vec<Vec<KeyedPair>> = buckets
-        .into_iter()
-        .map(|bucket| bucket.into_inner().unwrap_or_else(PoisonError::into_inner))
-        .collect();
-    let total: usize = buckets.iter().map(Vec::len).sum();
-    let mut sorted = Vec::with_capacity(total);
-    let mut tails: Vec<std::vec::IntoIter<KeyedPair>> =
-        buckets.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<MergeHead> = tails
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(bucket, tail)| {
-            tail.next().map(|(canon, pair)| MergeHead {
-                canon,
-                pair,
-                bucket,
-            })
-        })
-        .collect();
-    while let Some(MergeHead { pair, bucket, .. }) = heap.pop() {
-        sorted.push(pair);
-        if let Some((canon, pair)) = tails[bucket].next() {
-            heap.push(MergeHead {
-                canon,
-                pair,
-                bucket,
-            });
-        }
-    }
-    metrics::SHUFFLE_MERGE_NS.record(merge_started.elapsed().as_nanos() as u64);
-    group_sorted(sorted)
-}
-
-/// One bucket's current head pair inside the merge heap. Ordered so the
-/// heap's maximum is the *smallest* `(key, bucket)` — `BinaryHeap` is a
-/// max-heap, so the comparison is reversed — with the bucket index as
-/// tie-break to preserve the earliest-bucket preference. Comparison uses
-/// the pre-computed [`CanonKey`], never the raw key.
-struct MergeHead {
-    canon: CanonKey,
-    pair: (Value, Value),
-    bucket: usize,
-}
-
-impl Ord for MergeHead {
-    fn cmp(&self, other: &MergeHead) -> std::cmp::Ordering {
-        other
-            .canon
-            .cmp_canon(&self.canon)
-            .then_with(|| other.bucket.cmp(&self.bucket))
-    }
-}
-
-impl PartialOrd for MergeHead {
-    fn partial_cmp(&self, other: &MergeHead) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for MergeHead {
-    fn eq(&self, other: &MergeHead) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for MergeHead {}
-
-/// Group a key-sorted pair list into per-key value lists.
-fn group_sorted(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
+    pairs.sort_by(|a, b| a.0.key_cmp(&b.0));
     let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
     for (key, value) in pairs {
         match groups.last_mut() {
@@ -192,132 +50,222 @@ fn group_sorted(pairs: Vec<(Value, Value)>) -> Vec<(Value, Vec<Value>)> {
     groups
 }
 
-/// A key's canonical comparison form, derived once per pair.
+/// Group `[key, value]` pairs by key, sorted by [`Value::key_cmp`], on
+/// up to `workers` workers.
 ///
-/// `Value::snap_cmp` re-derives the numeric coercion (trim + parse for
-/// text) and the lowercased display string on *every* comparison — an
-/// O(n log n) sort re-pays that per-key cost O(log n) times. `CanonKey`
-/// pays it once and the sort/merge compare the cached digest.
-struct CanonKey {
-    /// The numeric coercion, when the key has one (the same rule
-    /// `snap_cmp` uses: numbers, numeric text, booleans).
-    num: Option<f64>,
-    /// Lowercased display string — `snap_cmp`'s textual branch. Always
-    /// stored, even for numeric keys: a numeric key still compares
-    /// *textually* against a non-numeric one, using its original
-    /// display form (e.g. `Text(" 5 ")` displays as `" 5 "`).
-    text: String,
-}
-
-impl CanonKey {
-    fn new(key: &Value) -> CanonKey {
-        let num = match key {
-            Value::Number(n) => Some(*n),
-            Value::Text(s) => s.trim().parse::<f64>().ok(),
-            Value::Bool(b) => Some(if *b { 1.0 } else { 0.0 }),
-            _ => None,
+/// With `fold`, each chunk folds a key's values with [`eval_binop`] as
+/// they arrive (the first kept as-is), so every group holds one partial
+/// per chunk the key appeared in, in chunk order — the reducer then
+/// folds the partials. `fold` must be associative and commutative (see
+/// [`crate::associative_fold_op`]).
+///
+/// The hash table needs `loose_eq` to be an equivalence, which it is on
+/// `Number` and `Text` keys (NaN, equal to nothing, gets a group of its
+/// own). It is not on the others — `true ~ 1 ~ "1"` but `true ≁ "1"` —
+/// so a call with any `Bool`, `Nothing`, `List` or `Ring` key combines
+/// and then runs [`shuffle_seq`].
+pub fn group_by(
+    pairs: &[(Value, Value)],
+    fold: Option<BinOp>,
+    workers: usize,
+    exec: ExecMode,
+) -> Vec<(Value, Vec<Value>)> {
+    let hashable = |(key, _): &(Value, Value)| matches!(key, Value::Number(_) | Value::Text(_));
+    if !pairs.iter().all(hashable) {
+        let pairs = match fold {
+            Some(op) => combine_pairs(pairs.to_vec(), op, workers, exec),
+            None => pairs.to_vec(),
         };
-        CanonKey {
-            num,
-            text: key.to_display_string().to_ascii_lowercase(),
-        }
+        return shuffle_seq(pairs);
     }
-
-    /// Mirrors [`Value::snap_cmp`] exactly: numeric when both sides
-    /// coerce, case-insensitive textual otherwise.
-    fn cmp_canon(&self, other: &CanonKey) -> std::cmp::Ordering {
-        match (self.num, other.num) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
-            _ => self.text.cmp(&other.text),
-        }
+    // The innermost span open at entry — the map_reduce that produced
+    // these pairs. The merge span links back to it explicitly.
+    let origin = snap_trace::current_span_id();
+    let _span = snap_trace::span!("shuffle.group", "pairs" => pairs.len());
+    let tables = chunk_tables(pairs, fold, workers, exec);
+    if tables.len() > 1 {
+        metrics::SHUFFLE_PARALLEL_RUNS.incr();
+    } else {
+        metrics::SHUFFLE_SEQ_RUNS.incr();
     }
-
-    /// Hash such that `cmp_canon == Equal` implies equal hashes: numeric
-    /// keys hash their normalized value (`-0.0` folded to `0.0`, all
-    /// NaNs coincide); all others hash the lowercased display string.
-    fn bucket_hash(&self) -> u64 {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        match self.num {
-            Some(n) => {
-                let bits = if n == 0.0 {
-                    0u64
-                } else if n.is_nan() {
-                    f64::NAN.to_bits()
-                } else {
-                    n.to_bits()
-                };
-                (1u8, bits).hash(&mut hasher);
-            }
-            None => {
-                (2u8, &self.text).hash(&mut hasher);
-            }
-        }
-        hasher.finish()
-    }
-}
-
-/// Hash a raw key's canonical form (see [`CanonKey::bucket_hash`]).
-/// `snap_cmp`-equal keys hash alike; used by the combiner's key index.
-fn canonical_key_hash(key: &Value) -> u64 {
-    CanonKey::new(key).bucket_hash()
+    let merged = merge(tables, origin);
+    let values: usize = merged.entries.iter().map(|e| e.values.len()).sum();
+    metrics::SHUFFLE_PAIRS.add(values as u64);
+    let mut groups: Vec<(Value, Vec<Value>)> = merged
+        .entries
+        .into_iter()
+        .map(|entry| (entry.key, entry.values))
+        .collect();
+    let _sort = snap_trace::span!("shuffle.sort_keys", "keys" => groups.len());
+    groups.sort_by(|a, b| a.0.key_cmp(&b.0));
+    groups
 }
 
 /// Map-side combiner: partially reduce `[key, value]` pairs by key with
-/// the associative operator `op` *before* the shuffle, in parallel over
-/// per-worker chunks. Output holds at most `workers × distinct-keys`
-/// pairs, preserving first-occurrence pair order within each chunk — so
-/// a subsequent [`shuffle`]'s stable sort groups keys in exactly the
-/// order the uncombined pairs would have produced.
-///
-/// Each key's first value is kept as-is (matching `combine`'s
-/// single-element semantics) and later values are folded in emission
-/// order with [`eval_binop`], so for an associative, commutative `op`
-/// the reduce phase sees the same fold it would have computed itself —
-/// word count's integer `+` is bit-exact; float reassociation across
-/// chunk boundaries is inherent to map-side combining.
+/// the associative operator `op`, one table per chunk. The output is the
+/// chunk tables laid end to end — each key once per chunk, at its first
+/// occurrence, folded in emission order — so [`shuffle_seq`] of it
+/// groups keys exactly as it would the uncombined pairs.
 pub fn combine_pairs(
     pairs: Vec<(Value, Value)>,
     op: BinOp,
     workers: usize,
     exec: ExecMode,
 ) -> Vec<(Value, Value)> {
-    let workers = workers.max(1);
-    let before = pairs.len();
-    if before == 0 {
+    if pairs.is_empty() {
         return pairs;
     }
-    let _span = snap_trace::span!("shuffle.combine", "pairs" => before);
-    let chunk_len = before.div_ceil(workers).max(1);
-    let chunks: Vec<&[(Value, Value)]> = pairs.chunks(chunk_len).collect();
-    let combined = map_slice_with(&chunks, workers, Strategy::Dynamic, exec, |chunk| {
-        combine_chunk(chunk, op)
-    });
-    let out: Vec<(Value, Value)> = combined.into_iter().flatten().collect();
-    metrics::SHUFFLE_COMBINE_RUNS.incr();
-    metrics::SHUFFLE_PAIRS_COMBINED.add((before - out.len()) as u64);
-    out
+    let _span = snap_trace::span!("shuffle.combine", "pairs" => pairs.len());
+    chunk_tables(&pairs, Some(op), workers, exec)
+        .into_iter()
+        .flat_map(|table| table.entries)
+        .map(|mut entry| (entry.key, entry.values.swap_remove(0)))
+        .collect()
 }
 
-/// Reduce one chunk's pairs by key, preserving first-occurrence order.
-/// Keys match by `loose_eq` — the same predicate [`group_sorted`] uses —
-/// looked up through a canonical-hash index instead of a linear scan.
-fn combine_chunk(chunk: &[(Value, Value)], op: BinOp) -> Vec<(Value, Value)> {
-    let mut order: Vec<(Value, Value)> = Vec::new();
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (key, value) in chunk {
-        let slots = index.entry(canonical_key_hash(key)).or_default();
-        match slots.iter().find(|&&i| order[i].0.loose_eq(key)) {
-            Some(&i) => {
-                let folded = eval_binop(op, &order[i].1, value);
-                order[i].1 = folded;
-            }
-            None => {
-                slots.push(order.len());
-                order.push((key.clone(), value.clone()));
-            }
+/// One table per chunk: `ceil(n / workers)` pairs per chunk on the pool
+/// at [`COMBINE_MIN_PAIRS`] pairs or more, else one chunk on the calling
+/// thread. Counts the pairs a fold eliminated.
+fn chunk_tables(
+    pairs: &[(Value, Value)],
+    fold: Option<BinOp>,
+    workers: usize,
+    exec: ExecMode,
+) -> Vec<Table> {
+    let workers = workers.max(1);
+    let tables = if pairs.len() < COMBINE_MIN_PAIRS || workers == 1 {
+        vec![Table::build(pairs, fold)]
+    } else {
+        let chunks: Vec<&[(Value, Value)]> = pairs.chunks(pairs.len().div_ceil(workers)).collect();
+        map_slice_with(&chunks, workers, Strategy::Dynamic, exec, |chunk| {
+            Table::build(chunk, fold)
+        })
+    };
+    if fold.is_some() {
+        let partials: usize = tables.iter().map(|t| t.entries.len()).sum();
+        metrics::SHUFFLE_COMBINE_RUNS.incr();
+        metrics::SHUFFLE_PAIRS_COMBINED.add((pairs.len() - partials) as u64);
+    }
+    tables
+}
+
+/// Merge chunk tables in chunk order: a key keeps the entry of the first
+/// chunk it appeared in, and later chunks' values append to it.
+fn merge(tables: Vec<Table>, origin: u64) -> Table {
+    let count = tables.len();
+    let mut tables = tables.into_iter();
+    let mut merged = tables.next().unwrap_or_default();
+    if count < 2 {
+        return merged;
+    }
+    let started = Instant::now();
+    let _span = snap_trace::span_linked_with("shuffle.merge", "tables", count as u64, origin);
+    for table in tables {
+        for entry in table.entries {
+            let slot = merged.slot(&entry.key, entry.hash);
+            merged.entries[slot].values.extend(entry.values);
         }
     }
-    order
+    metrics::SHUFFLE_MERGE_NS.record(started.elapsed().as_nanos() as u64);
+    merged
+}
+
+/// One chunk's groups in first-occurrence order, indexed by key hash.
+#[derive(Default)]
+struct Table {
+    entries: Vec<Entry>,
+    /// Key hash → the first entry with that hash. Later entries with the
+    /// same hash (keys that are not `loose_eq`) chain through
+    /// [`Entry::next`] in insertion order.
+    heads: HashMap<u64, usize>,
+}
+
+/// One key's group.
+struct Entry {
+    /// [`key_hash`] of `key`; `None` for a key that matches nothing.
+    hash: Option<u64>,
+    key: Value,
+    values: Vec<Value>,
+    /// The next entry with the same hash.
+    next: Option<usize>,
+}
+
+impl Table {
+    /// Group one chunk's pairs, folding with `fold` or appending.
+    fn build(chunk: &[(Value, Value)], fold: Option<BinOp>) -> Table {
+        let _span = snap_trace::span!("shuffle.table", "pairs" => chunk.len());
+        let mut table = Table::default();
+        for (key, value) in chunk {
+            let slot = table.slot(key, key_hash(key));
+            let values = &mut table.entries[slot].values;
+            match (fold, values.first_mut()) {
+                (Some(op), Some(acc)) => *acc = eval_binop(op, acc, value),
+                _ => values.push(value.clone()),
+            }
+        }
+        table
+    }
+
+    /// The entry whose key is `loose_eq` to `key`, created (empty) if
+    /// there is none. `hash` is `key`'s [`key_hash`].
+    fn slot(&mut self, key: &Value, hash: Option<u64>) -> usize {
+        let new = self.entries.len();
+        if let Some(hash) = hash {
+            let mut at = self.heads.get(&hash).copied();
+            let mut tail = None;
+            while let Some(i) = at {
+                if same_key(&self.entries[i].key, key) {
+                    return i;
+                }
+                tail = Some(i);
+                at = self.entries[i].next;
+            }
+            match tail {
+                Some(t) => self.entries[t].next = Some(new),
+                None => {
+                    self.heads.insert(hash, new);
+                }
+            }
+        }
+        self.entries.push(Entry {
+            hash,
+            key: key.clone(),
+            values: Vec::new(),
+            next: None,
+        });
+        new
+    }
+}
+
+/// `loose_eq` for two keys that share a [`key_hash`], skipping the
+/// numeric parse when the texts are identical (a hashed text is never
+/// NaN, so identical texts are always `loose_eq`).
+fn same_key(a: &Value, b: &Value) -> bool {
+    matches!((a, b), (Value::Text(x), Value::Text(y)) if x == y) || a.loose_eq(b)
+}
+
+/// A hash under which `loose_eq` keys collide, built without
+/// allocating for numbers and text: anything that coerces to a number
+/// hashes its value (`-0` as `0`), text its ASCII-lowercased bytes.
+/// `None` for NaN, which is `loose_eq` to nothing, itself included.
+fn key_hash(key: &Value) -> Option<u64> {
+    let number = |n: f64| (!n.is_nan()).then(|| if n == 0.0 { 0 } else { n.to_bits() });
+    match key {
+        Value::Number(n) => number(*n),
+        Value::Text(s) => match s.trim().parse::<f64>() {
+            Ok(n) => number(n),
+            Err(_) => Some(text_hash(s)),
+        },
+        Value::Bool(b) => number(if *b { 1.0 } else { 0.0 }),
+        other => Some(text_hash(&other.to_display_string())),
+    }
+}
+
+/// FNV-1a over the ASCII-lowercased bytes.
+fn text_hash(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b.to_ascii_lowercase())).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]
@@ -382,18 +330,27 @@ mod tests {
     fn parallel_shuffle_matches_sequential_exactly() {
         let pairs = mixed_pairs(5000);
         let seq = shuffle_seq(pairs.clone());
-        for workers in [2, 3, 4, 8] {
+        for workers in [1, 2, 3, 4, 8] {
             for exec in [ExecMode::Pooled, ExecMode::SpawnPerCall] {
-                let par = shuffle_parallel(pairs.clone(), workers, exec);
+                let par = group_by(&pairs, None, workers, exec);
                 assert_eq!(par, seq, "workers={workers} exec={exec:?}");
             }
         }
     }
 
     #[test]
-    fn auto_dispatch_crosses_threshold_consistently() {
-        let pairs = mixed_pairs(PARALLEL_SHUFFLE_THRESHOLD + 100);
-        assert_eq!(shuffle(pairs.clone()), shuffle_seq(pairs));
+    fn shuffle_matches_sequential_around_the_chunk_threshold() {
+        for n in [
+            0,
+            1,
+            COMBINE_MIN_PAIRS - 1,
+            COMBINE_MIN_PAIRS,
+            COMBINE_MIN_PAIRS + 1,
+            2148,
+        ] {
+            let pairs = mixed_pairs(n);
+            assert_eq!(shuffle(pairs.clone()), shuffle_seq(pairs), "n={n}");
+        }
     }
 
     #[test]
@@ -401,64 +358,105 @@ mod tests {
         let mut pairs = mixed_pairs(4096);
         pairs.push((Value::Number(0.0), Value::text("pos")));
         pairs.push((Value::Number(-0.0), Value::text("neg")));
-        let par = shuffle_parallel(pairs.clone(), 4, ExecMode::Pooled);
+        let par = group_by(&pairs, None, 4, ExecMode::Pooled);
         assert_eq!(par, shuffle_seq(pairs));
     }
 
     #[test]
-    fn canon_key_cmp_mirrors_snap_cmp_exactly() {
-        // Every ordering decision the sort/merge makes on the cached
-        // digest must equal what snap_cmp would have said on the raw
-        // keys — checked over a cross product of the awkward shapes.
+    fn nan_keys_each_get_their_own_group() {
+        // NaN is loose_eq to nothing, so every NaN key is its own group,
+        // after all numbers and before all words, in emission order.
+        let mut pairs = mixed_pairs(400);
+        for i in (0..400).step_by(9) {
+            let key = if i % 2 == 0 {
+                Value::Number(f64::NAN)
+            } else {
+                Value::text("NaN")
+            };
+            pairs[i] = (key, Value::Number(i as f64));
+        }
+        let seq = shuffle_seq(pairs.clone());
+        for workers in 1..=8 {
+            // Debug renders NaN keys comparably (NaN != NaN under ==).
+            let par = group_by(&pairs, None, workers, ExecMode::Pooled);
+            assert_eq!(format!("{par:?}"), format!("{seq:?}"), "workers={workers}");
+        }
+        let nan_groups: Vec<&(Value, Vec<Value>)> =
+            seq.iter().filter(|(k, _)| k.to_number().is_nan()).collect();
+        assert_eq!(nan_groups.len(), 45);
+        assert!(nan_groups.iter().all(|(_, values)| values.len() == 1));
+    }
+
+    #[test]
+    fn folding_matches_combine_then_sequential_shuffle() {
+        let pairs = mixed_pairs(3000);
+        for workers in 1..=8 {
+            let combined = combine_pairs(pairs.clone(), BinOp::Add, workers, ExecMode::Pooled);
+            assert_eq!(
+                group_by(&pairs, Some(BinOp::Add), workers, ExecMode::Pooled),
+                shuffle_seq(combined),
+                "workers={workers}"
+            );
+        }
+    }
+
+    #[test]
+    fn non_hashable_keys_take_the_reference_path() {
+        // true ~ 1 ~ "1" but true ≁ "1": a hash table cannot group these
+        // the way sort-then-scan does, so group_by defers to shuffle_seq.
+        let keys = [
+            Value::Bool(true),
+            Value::Number(1.0),
+            Value::text("1"),
+            Value::Nothing,
+        ];
+        let pairs: Vec<(Value, Value)> = (0..64)
+            .map(|i| (keys[i % keys.len()].clone(), Value::Number(i as f64)))
+            .collect();
+        assert_eq!(
+            group_by(&pairs, None, 4, ExecMode::Pooled),
+            shuffle_seq(pairs.clone())
+        );
+        let combined = combine_pairs(pairs.clone(), BinOp::Mul, 4, ExecMode::Pooled);
+        assert_eq!(
+            group_by(&pairs, Some(BinOp::Mul), 4, ExecMode::Pooled),
+            shuffle_seq(combined)
+        );
+    }
+
+    #[test]
+    fn key_hash_agrees_with_loose_eq() {
+        // Keys that are loose_eq must hash alike, or the table would
+        // split one group in two.
         let keys: Vec<Value> = vec![
             Value::Number(2.0),
             Value::Number(10.0),
             Value::Number(0.0),
             Value::Number(-0.0),
             Value::Number(-3.5),
-            Value::Number(f64::NAN),
+            Value::Number(f64::INFINITY),
             Value::text("2"),
             Value::text(" 10 "),
+            Value::text("1e1"),
+            Value::text("-0"),
+            Value::text("inf"),
             Value::text("alpha"),
             Value::text("ALPHA"),
             Value::text("beta"),
             Value::text(""),
-            Value::text("true"),
             Value::Bool(true),
             Value::Bool(false),
-            Value::Nothing,
-            Value::list(vec![1.into(), 2.into()]),
+            Value::text("1"),
         ];
         for a in &keys {
-            let ca = CanonKey::new(a);
             for b in &keys {
-                let cb = CanonKey::new(b);
-                assert_eq!(
-                    ca.cmp_canon(&cb),
-                    a.snap_cmp(b),
-                    "CanonKey diverged from snap_cmp for {a:?} vs {b:?}"
-                );
-                // snap_cmp equality is not transitive across its two
-                // branches — NaN is "equal" to every number (partial_cmp
-                // falls back to Equal), and a numeric key can compare
-                // textually-equal to a non-numeric one (Bool(true) vs
-                // Text("true")) while being numerically-equal to others.
-                // No hash can honor a non-equivalence, so the bucket
-                // invariant is asserted where it is coherent: same-regime
-                // pairs without NaN. (Cross-regime stragglers still sort
-                // adjacent and group correctly after the merge.)
-                let nan_edge = matches!(ca.num, Some(n) if n.is_nan())
-                    != matches!(cb.num, Some(n) if n.is_nan());
-                let same_regime = ca.num.is_some() == cb.num.is_some();
-                if ca.cmp_canon(&cb) == std::cmp::Ordering::Equal && same_regime && !nan_edge {
-                    assert_eq!(
-                        ca.bucket_hash(),
-                        cb.bucket_hash(),
-                        "equal keys must share a bucket: {a:?} vs {b:?}"
-                    );
+                if a.loose_eq(b) && !matches!((a, b), (Value::Bool(_), _) | (_, Value::Bool(_))) {
+                    assert_eq!(key_hash(a), key_hash(b), "{a:?} ~ {b:?}");
                 }
             }
         }
+        assert_eq!(key_hash(&Value::Number(f64::NAN)), None);
+        assert_eq!(key_hash(&Value::text(" NaN ")), None);
     }
 
     #[test]
@@ -494,7 +492,7 @@ mod tests {
         // and per-group sums identical — only the pair count shrinks.
         let pairs = mixed_pairs(5000);
         let plain = shuffle(pairs.clone());
-        let combined = shuffle(combine_pairs(pairs, BinOp::Add, 4, ExecMode::Pooled));
+        let combined = group_by(&pairs, Some(BinOp::Add), 4, ExecMode::Pooled);
         assert_eq!(plain.len(), combined.len(), "same group count");
         for ((k1, v1), (k2, v2)) in plain.iter().zip(&combined) {
             assert_eq!(k1, k2, "group keys must match in order");
@@ -502,17 +500,5 @@ mod tests {
             assert_eq!(sum(v1), sum(v2), "per-key totals must match for {k1:?}");
             assert!(v2.len() <= v1.len());
         }
-    }
-
-    #[test]
-    fn combine_pairs_counts_eliminated_pairs() {
-        let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
-        let pairs: Vec<(Value, Value)> = (0..100)
-            .map(|i| (Value::Number((i % 5) as f64), 1.into()))
-            .collect();
-        let out = combine_pairs(pairs, BinOp::Add, 2, ExecMode::Pooled);
-        // 2 chunks × 5 keys = 10 surviving pairs, 90 eliminated.
-        assert_eq!(out.len(), 10);
-        assert_eq!(metrics::SHUFFLE_PAIRS_COMBINED.get() - before, 90);
     }
 }

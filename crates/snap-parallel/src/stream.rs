@@ -24,9 +24,9 @@
 //! * **Fast tiers reused.** An all-numeric source block travels as a
 //!   flat `f64` columnar block; a batchable map stage runs one
 //!   `eval_batch` per block with no per-element dispatch. Windowed
-//!   reduce-by-key applies the map-side combiner
-//!   ([`crate::associative_fold_op`]) per window before a sequential
-//!   shuffle, exactly mirroring the batch `mapReduce` semantics.
+//!   reduce-by-key runs each window through the batch `mapReduce`
+//!   shuffle ([`crate::group_by`], folding for associative reducers),
+//!   exactly mirroring its semantics.
 //! * **Faults degrade one block.** A panicked block is retried per the
 //!   [`FaultPolicy`], then salvaged item-by-item (injector-free); only
 //!   items that panic on every attempt are dropped
@@ -53,8 +53,8 @@ use snap_workers::channel::{bounded, ChannelMonitor, Receiver, Sender};
 use snap_workers::fault::injector;
 use snap_workers::{as_map_pair, global_pool, ExecMode, FaultPolicy};
 
-use crate::blocks::{associative_fold_op, COMBINE_MIN_PAIRS};
-use crate::shuffle::{combine_pairs, shuffle_seq};
+use crate::blocks::associative_fold_op;
+use crate::shuffle::group_by;
 
 /// How the sink hands results to the caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -111,8 +111,8 @@ enum StageOp {
     /// Apply the ring and splice list results into the stream.
     FlatMap(Arc<Ring>),
     /// Collect `[key, value]` pairs into windows of `window_items`
-    /// pairs; per window: map-side combine (if the reducer is an
-    /// associative fold), sequential shuffle, one reducer call per key.
+    /// pairs; per window: the [`crate::group_by`] shuffle (folding if the
+    /// reducer is an associative fold), one reducer call per key.
     ReduceByKey {
         reducer: Arc<Ring>,
         window_items: usize,
@@ -743,18 +743,10 @@ impl<'a> ReduceExec<'a> {
         })
     }
 
-    /// One window: combine (associative reducers), sequential shuffle,
-    /// one reducer call per key — the batch `mapReduce` semantics over
-    /// the window's pairs.
+    /// One window: the batch `mapReduce` shuffle on the calling thread
+    /// (folding for associative reducers), then one reducer call per key.
     fn compute(&self, pairs: &[(Value, Value)]) -> Result<Vec<Value>, EvalError> {
-        let owned: Vec<(Value, Value)> = pairs.to_vec();
-        let combined = match self.fold {
-            Some(op) if owned.len() >= COMBINE_MIN_PAIRS => {
-                combine_pairs(owned, op, 1, ExecMode::Pooled)
-            }
-            _ => owned,
-        };
-        let groups = shuffle_seq(combined);
+        let groups = group_by(pairs, self.fold, 1, ExecMode::Pooled);
         let mut out = Vec::with_capacity(groups.len());
         for (key, values) in groups {
             let arg = Value::list(values.iter().map(Value::deep_copy).collect());
@@ -1134,7 +1126,7 @@ impl Pipeline {
     }
 
     /// The reduce node (always one worker): reorder by sequence,
-    /// window, combine + shuffle + reduce per window.
+    /// window, group + reduce per window.
     fn run_reduce(
         &self,
         reducer: &Arc<Ring>,

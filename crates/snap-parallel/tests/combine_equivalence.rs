@@ -1,18 +1,25 @@
 //! Acceptance tests for map-side combining on the word-count corpus.
 //!
-//! The PR's contract: on a realistic Zipf word corpus the combiner must
-//! cut shuffled pairs by **at least 5×** while leaving the `mapReduce`
+//! The contract: on a realistic Zipf word corpus the combiner must cut
+//! grouped pairs by **at least 5×** while leaving the `mapReduce`
 //! output — values *and* group ordering — bit-for-bit identical to the
-//! uncombined run.
+//! uncombined reference (every mapper pair through `shuffle_seq`).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use snap_ast::builder::*;
 use snap_ast::{BinOp, Ring, Value};
 use snap_data::generate_words;
-use snap_parallel::{combine_pairs, map_reduce_with_combine, CombinePolicy};
+use snap_parallel::{combine_pairs, map_reduce_with_options, shuffle_seq};
 use snap_trace::well_known as metrics;
-use snap_workers::{ExecMode, RingMapOptions};
+use snap_workers::{ring_map_pairs, ring_reduce_groups, ExecMode, RingMapOptions};
+
+/// The combine counters are process-global: tests that read their deltas
+/// hold this lock so sibling tests cannot add to them meanwhile.
+fn counters_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn word_count_mapper() -> Arc<Ring> {
     Arc::new(Ring::reporter_with_params(
@@ -43,6 +50,7 @@ fn combiner_cuts_pairs_at_least_five_fold_on_word_corpus() {
         .map(|w| (w, Value::Number(1.0)))
         .collect();
     let n_in = pairs.len();
+    let _counters = counters_lock();
     let combined_before = metrics::SHUFFLE_PAIRS_COMBINED.get();
     let runs_before = metrics::SHUFFLE_COMBINE_RUNS.get();
     let out = combine_pairs(pairs, BinOp::Add, 4, ExecMode::Pooled);
@@ -65,57 +73,100 @@ fn combiner_cuts_pairs_at_least_five_fold_on_word_corpus() {
 
 #[test]
 fn combined_map_reduce_output_is_identical_to_uncombined() {
-    // End-to-end mapReduce on the word-count corpus: combiner on vs off
-    // must agree exactly, across worker counts, including output order.
+    // End-to-end mapReduce on the word-count corpus: the folding shuffle
+    // and the uncombined reference must agree exactly, across worker
+    // counts, including output order.
     let items = corpus(8_000);
     for workers in [1, 2, 4, 8] {
         let options = RingMapOptions {
             workers,
             ..Default::default()
         };
-        let on = map_reduce_with_combine(
+        let _counters = counters_lock();
+        let on = map_reduce_with_options(
             word_count_mapper(),
             word_count_reducer(),
             items.clone(),
             options,
-            CombinePolicy::Auto,
         )
         .unwrap();
-        let off = map_reduce_with_combine(
-            word_count_mapper(),
-            word_count_reducer(),
-            items.clone(),
-            options,
-            CombinePolicy::Disabled,
-        )
-        .unwrap();
+        let pairs = ring_map_pairs(word_count_mapper(), items.clone(), options).unwrap();
+        let off = ring_reduce_groups(word_count_reducer(), shuffle_seq(pairs), options).unwrap();
         assert_eq!(on, off, "workers={workers}");
     }
 }
 
 #[test]
 fn auto_policy_combines_on_the_word_corpus() {
-    // The default path (map_reduce → Auto) must actually engage the
-    // combiner for the associative word-count reducer.
+    // The default path must actually fold in the shuffle for the
+    // associative word-count reducer.
     let items = corpus(4_000);
+    let _counters = counters_lock();
     let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
     let options = RingMapOptions {
         workers: 4,
         ..Default::default()
     };
-    let out = snap_parallel::map_reduce_with_options(
-        word_count_mapper(),
-        word_count_reducer(),
-        items,
-        options,
-    )
-    .unwrap();
+    let out =
+        map_reduce_with_options(word_count_mapper(), word_count_reducer(), items, options).unwrap();
     assert!(!out.is_empty());
     // The corpus vocabulary is ~105 words; 4 chunks keep at most
     // 4 × 105 pairs, so at least 4000 − 420 must have been eliminated.
     let eliminated = metrics::SHUFFLE_PAIRS_COMBINED.get() - before;
     assert!(
         eliminated >= 4_000 - 4 * 105,
-        "Auto policy barely combined: only {eliminated} pairs eliminated"
+        "the shuffle barely combined: only {eliminated} pairs eliminated"
     );
+}
+
+#[test]
+fn combine_pairs_counts_eliminated_pairs() {
+    let pairs: Vec<(Value, Value)> = (0..100)
+        .map(|i| (Value::Number((i % 5) as f64), 1.into()))
+        .collect();
+    let _counters = counters_lock();
+    let before = metrics::SHUFFLE_PAIRS_COMBINED.get();
+    let out = combine_pairs(pairs, BinOp::Add, 2, ExecMode::Pooled);
+    // 2 chunks × 5 keys = 10 surviving pairs, 90 eliminated.
+    assert_eq!(out.len(), 10);
+    assert_eq!(metrics::SHUFFLE_PAIRS_COMBINED.get() - before, 90);
+}
+
+#[test]
+fn nan_among_numerals_groups_alike_at_every_worker_count() {
+    // 256 numeral words over 50 numerals, every ninth word "NaN". NaN
+    // is equal to nothing, so each of the 29 NaN words is its own row,
+    // after the 50 numerals, which each appear exactly once.
+    let words: Vec<Value> = (0..256)
+        .map(|i| match i % 9 {
+            0 => Value::text("NaN"),
+            _ => Value::text((i % 50).to_string()),
+        })
+        .collect();
+    let _counters = counters_lock();
+    let render = |workers: usize| -> Vec<String> {
+        snap_parallel::map_reduce(
+            word_count_mapper(),
+            word_count_reducer(),
+            words.clone(),
+            workers,
+        )
+        .unwrap()
+        .iter()
+        .map(Value::to_display_string)
+        .collect()
+    };
+    let one = render(1);
+    assert_eq!(one.len(), 79);
+    for (n, row) in one[..50].iter().enumerate() {
+        let count = words
+            .iter()
+            .filter(|w| w.to_display_string() == n.to_string())
+            .count();
+        assert_eq!(*row, format!("[{n}, {count}]"));
+    }
+    assert!(one[50..].iter().all(|row| row == "[NaN, 1]"));
+    for workers in [2, 4] {
+        assert_eq!(render(workers), one, "workers={workers}");
+    }
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce, map_reduce_with_combine, parallel_map, shuffle, CombinePolicy};
-use snap_workers::RingMapOptions;
+use snap_parallel::{map_reduce, parallel_map, shuffle, shuffle_seq};
+use snap_workers::{ring_map_pairs, ring_reduce_groups, RingMapOptions};
 
 fn word_strategy() -> impl Strategy<Value = String> {
     "[a-e]{1,3}" // small alphabet → plenty of key collisions
@@ -87,7 +87,7 @@ proptest! {
         // Keys strictly ascending.
         for window in groups.windows(2) {
             prop_assert_eq!(
-                window[0].0.snap_cmp(&window[1].0),
+                window[0].0.key_cmp(&window[1].0),
                 std::cmp::Ordering::Less
             );
         }
@@ -133,9 +133,10 @@ proptest! {
         words in prop::collection::vec(word_strategy(), 0..300),
         workers in 1usize..9
     ) {
-        // Word count with the combiner on vs forced off: identical
-        // output, including group ordering — integer `+` folds are exact
-        // however the pairs were pre-reduced across chunks.
+        // Word count with the folding shuffle vs the uncombined
+        // reference (every pair through shuffle_seq): identical output,
+        // including group ordering — integer `+` folds are exact however
+        // the pairs were pre-reduced across chunks.
         let mapper = || Arc::new(Ring::reporter_with_params(
             vec!["w".into()],
             make_list(vec![var("w"), num(1.0)]),
@@ -146,12 +147,9 @@ proptest! {
         ));
         let items: Vec<Value> = words.iter().map(|w| Value::text(w.clone())).collect();
         let options = RingMapOptions { workers, ..Default::default() };
-        let on = map_reduce_with_combine(
-            mapper(), reducer(), items.clone(), options, CombinePolicy::Auto,
-        ).unwrap();
-        let off = map_reduce_with_combine(
-            mapper(), reducer(), items, options, CombinePolicy::Disabled,
-        ).unwrap();
+        let on = map_reduce(mapper(), reducer(), items.clone(), workers).unwrap();
+        let pairs = ring_map_pairs(mapper(), items, options).unwrap();
+        let off = ring_reduce_groups(reducer(), shuffle_seq(pairs), options).unwrap();
         prop_assert_eq!(on, off);
     }
 }

@@ -8,7 +8,7 @@
 //! * **Metrics** — [`Counter`] / [`Gauge`] / [`Histogram`] statics
 //!   behind a global registry (plus interned ad-hoc metrics): pool jobs
 //!   submitted/executed/refused, queue depth, chunk claims, compile
-//!   cache hits/misses, shuffle runs and partition sizes, VM frames and
+//!   cache hits/misses, shuffle runs and merge times, VM frames and
 //!   process spawns. Updates are single relaxed atomic RMWs and are
 //!   always live.
 //! * **Spans** — [`span!`]`("ring_map", len)` records scoped wall-time

@@ -425,20 +425,21 @@ pub mod well_known {
     /// Flat `f64` chunks executed by the columnar map path.
     pub static PAR_COLUMNAR_CHUNKS: Counter = Counter::new("par.columnar_chunks");
 
-    /// Shuffles that took the sequential path.
+    /// Shuffles that grouped on the calling thread: one chunk table, or
+    /// the sort-based reference shuffle.
     pub static SHUFFLE_SEQ_RUNS: Counter = Counter::new("shuffle.seq_runs");
-    /// Shuffles that took the parallel (partition/sort/merge) path.
+    /// Shuffles that grouped in more than one chunk table on the pool.
     pub static SHUFFLE_PARALLEL_RUNS: Counter = Counter::new("shuffle.parallel_runs");
-    /// Pairs shuffled (both paths).
+    /// Values the shuffle grouped: every pair, or one partial per key
+    /// and chunk when folding.
     pub static SHUFFLE_PAIRS: Counter = Counter::new("shuffle.pairs");
-    /// Map-side combiner runs (associative reducers only).
+    /// Map-side combines: shuffles that folded values per chunk
+    /// (associative reducers only), and `combine_pairs` calls.
     pub static SHUFFLE_COMBINE_RUNS: Counter = Counter::new("shuffle.combine_runs");
-    /// Pairs eliminated by the map-side combiner before the shuffle
-    /// (pairs in minus partially-reduced pairs out).
+    /// Pairs eliminated by the map-side combine (pairs in minus
+    /// per-chunk partials out).
     pub static SHUFFLE_PAIRS_COMBINED: Counter = Counter::new("shuffle.pairs_combined");
-    /// Size of each hash partition in the parallel shuffle.
-    pub static SHUFFLE_PARTITION_SIZE: Histogram = Histogram::new("shuffle.partition_size");
-    /// Wall-time of the parallel shuffle's k-way merge, nanoseconds.
+    /// Wall-time of merging a shuffle's chunk tables, nanoseconds.
     pub static SHUFFLE_MERGE_NS: Histogram = Histogram::new("shuffle.merge_ns");
 
     /// Simulated-cluster distributed maps.
@@ -598,14 +599,9 @@ pub fn known_gauges() -> [&'static Gauge; 3] {
 }
 
 /// Every well-known histogram.
-pub fn known_histograms() -> [&'static Histogram; 4] {
+pub fn known_histograms() -> [&'static Histogram; 3] {
     use well_known::*;
-    [
-        &SHUFFLE_PARTITION_SIZE,
-        &SHUFFLE_MERGE_NS,
-        &STREAM_LATENCY_NS,
-        &VM_FRAME_NS,
-    ]
+    [&SHUFFLE_MERGE_NS, &STREAM_LATENCY_NS, &VM_FRAME_NS]
 }
 
 /// The VM frame counters, exported separately so reports can show the

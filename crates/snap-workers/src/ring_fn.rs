@@ -185,9 +185,10 @@ pub fn ring_map(
 /// [`ExecError::RetriesExhausted`], but propagate deadline errors).
 pub fn ring_map_faulted(
     ring: Arc<Ring>,
-    items: Vec<Value>,
+    items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
+    let items = items.as_ref();
     let len = items.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
@@ -197,7 +198,7 @@ pub fn ring_map_faulted(
         && options.latency.is_none()
         && len >= COLUMNAR_MIN_ITEMS
     {
-        if let Some(inputs) = f.is_batchable().then(|| columnar_f64(&items)).flatten() {
+        if let Some(inputs) = f.is_batchable().then(|| columnar_f64(items)).flatten() {
             let native = match options.native {
                 NativePolicy::Auto => native_program_for(&ring),
                 NativePolicy::Disabled => None,
@@ -209,7 +210,7 @@ pub fn ring_map_faulted(
         snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
     }
     let results = try_map_slice_with(
-        &items,
+        items,
         options.workers,
         options.strategy,
         options.exec,
@@ -352,7 +353,7 @@ pub fn ring_map_pairs(
 /// [`ring_map_pairs`] with the execution-layer failure kept distinct.
 pub fn ring_map_pairs_faulted(
     ring: Arc<Ring>,
-    items: Vec<Value>,
+    items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<(Value, Value)>, RingMapError> {
     let mapped = ring_map_faulted(ring, items, options)?;
@@ -377,16 +378,17 @@ pub fn ring_reduce_groups(
 /// distinct.
 pub fn ring_reduce_groups_faulted(
     ring: Arc<Ring>,
-    groups: Vec<(Value, Vec<Value>)>,
+    groups: impl AsRef<[(Value, Vec<Value>)]>,
     options: RingMapOptions,
 ) -> Result<Vec<Value>, RingMapError> {
+    let groups = groups.as_ref();
     let len = groups.len();
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
     let results = try_map_slice_with(
-        &groups,
+        groups,
         options.workers,
         options.strategy,
         options.exec,

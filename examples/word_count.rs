@@ -157,12 +157,10 @@ fn main() {
     println!("all worker counts agree with the sequential reference");
 
     // --serve-metrics: keep the shuffle hot so a live scrape always has
-    // fresh windowed percentiles for shuffle.merge_ns. The Zipf corpus's
-    // combined pair stream stays under the parallel-shuffle threshold
-    // (map-side combining collapses it to ~#unique keys), so the rerun
-    // uses a high-cardinality corpus whose combined stream still crosses
-    // it: 4 chunks × 700 keys ≥ PARALLEL_SHUFFLE_THRESHOLD.
-    let hot_items: Vec<Value> = (0..3 * snap_core::parallel::PARALLEL_SHUFFLE_THRESHOLD)
+    // fresh windowed percentiles for shuffle.merge_ns. The rerun uses a
+    // high-cardinality corpus on 4 workers, so every shuffle merges 4
+    // chunk tables of 700 keys each.
+    let hot_items: Vec<Value> = (0..6144)
         .map(|i| Value::text(format!("w{}", i % 700)))
         .collect();
     opts.serve_and_rerun(|| {

@@ -18,6 +18,10 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> perfbench: build + test the end-to-end benchmark (its own workspace)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 mkdir -p target/ci
 echo "==> traced example: concession_stand --trace"
 cargo run --release --example concession_stand -- --trace target/ci/concession_trace.json \
@@ -27,11 +31,11 @@ echo "==> validate emitted trace + report JSON"
 cargo run --release -p bench --bin trace_check -- \
   target/ci/concession_trace.json target/ci/concession_trace.json.report.json
 
-echo "==> traced example: word_count --trace (combiner must engage)"
+echo "==> traced example: word_count --trace (the shuffle must fold)"
 cargo run --release --example word_count -- --trace target/ci/word_count_trace.json \
   > target/ci/word_count.txt
 
-echo "==> validate word_count trace + assert the map-side combiner ran"
+echo "==> validate word_count trace + assert the shuffle folded pairs"
 cargo run --release -p bench --bin trace_check -- \
   target/ci/word_count_trace.json target/ci/word_count_trace.json.report.json \
   --require-counter shuffle.pairs_combined --require-counter ring.bytecode_compiles

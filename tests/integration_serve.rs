@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce, PARALLEL_SHUFFLE_THRESHOLD};
+use snap_parallel::map_reduce;
 
 /// Plain blocking HTTP GET against the test server.
 fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
@@ -49,7 +49,7 @@ fn prom_value(body: &str, prefix: &str) -> f64 {
         .unwrap_or_else(|| panic!("unparseable sample line: {line}"))
 }
 
-/// One shuffle-threshold-crossing MapReduce iteration.
+/// One MapReduce iteration whose shuffle merges chunk tables.
 fn run_workload() {
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
@@ -59,9 +59,9 @@ fn run_workload() {
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ));
-    // High key cardinality so even the combined pair stream crosses the
-    // parallel-shuffle threshold (4 chunks × 700 keys ≥ 2048).
-    let words: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
+    // 4 workers → 4 chunk tables of 700 keys each for the shuffle to
+    // merge, so every iteration records a merge time.
+    let words: Vec<Value> = (0..6144)
         .map(|i| Value::text(format!("w{}", i % 700)))
         .collect();
     let groups = map_reduce(mapper, reducer, words, 4).expect("map_reduce runs");

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
 use snap_core::trace;
-use snap_parallel::{map_reduce, parallel_map, PARALLEL_SHUFFLE_THRESHOLD};
+use snap_parallel::{map_reduce, parallel_map};
 use snap_trace::well_known as metrics;
 use snap_workers::global_pool;
 
@@ -28,11 +28,10 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     assert_eq!(out.len(), 10_000);
     assert_eq!(out[7], Value::Number(70.0));
 
-    // --- a map_reduce big enough to cross the shuffle threshold -----
-    // The associative `+` reducer triggers map-side combining, so the
-    // key cardinality must be high enough that even the combined pair
-    // stream (≤ workers × keys) still crosses the parallel-shuffle
-    // threshold: 4 chunks × 700 keys ≈ 2800 ≥ 2048.
+    // --- a map_reduce whose shuffle merges several chunk tables -----
+    // The associative `+` reducer makes the shuffle fold per chunk;
+    // 6144 pairs on 4 workers is 4 chunk tables of 700 keys each to
+    // merge.
     let mapper = Arc::new(Ring::reporter_with_params(
         vec!["w".into()],
         make_list(vec![var("w"), num(1.0)]),
@@ -41,7 +40,7 @@ fn traced_run_emits_reconcilable_trace_and_report() {
         vec!["vals".into()],
         combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
     ));
-    let words: Vec<Value> = (0..3 * PARALLEL_SHUFFLE_THRESHOLD)
+    let words: Vec<Value> = (0..6144)
         .map(|i| Value::text(format!("w{}", i % 700)))
         .collect();
     let groups = map_reduce(mapper, reducer, words, 4).expect("traced map_reduce runs");
@@ -67,11 +66,10 @@ fn traced_run_emits_reconcilable_trace_and_report() {
         "exec.chunk",     // dynamic chunk claims
         "exec.map_slice", // the gather
         "ring_map",
-        "shuffle.combine", // map-side combiner on the associative reducer
-        "shuffle.parallel",
-        "shuffle.partition",
-        "shuffle.sort",
+        "shuffle.group", // the hash group-by, folding for the `+` reducer
+        "shuffle.table", // one per chunk
         "shuffle.merge",
+        "shuffle.sort_keys",
     ] {
         assert!(
             names.contains(&required),
@@ -115,7 +113,7 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     // take the columnar batch tier: every one of its 10k elements flows
     // through eval_batch chunks, with no per-element dispatch. The
     // word-count mapper's make_list body runs boxed bytecode; the
-    // associative reducer engages the combiner.
+    // associative reducer makes the shuffle fold per chunk.
     assert!(report.counter("ring.bytecode_compiles") >= 2);
     assert!(report.counter("ring.batch_elems") >= 10_000);
     assert!(report.counter("ring.batch_calls") >= 1);
@@ -124,7 +122,7 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     assert!(report.counter("shuffle.combine_runs") >= 1);
     assert!(
         report.counter("shuffle.pairs_combined") > 0,
-        "combiner must have eliminated pairs before the shuffle"
+        "the folding shuffle must have eliminated pairs before the reduce"
     );
 
     // --- both report renderings carry the reconciled numbers --------

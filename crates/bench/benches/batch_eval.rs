@@ -10,6 +10,12 @@
 //!   workload: a numeric `parallelMap` over synthetic NOAA readings with
 //!   the columnar tier on (`ColumnarPolicy::Auto`, flat `f64` chunks)
 //!   versus off (`Disabled`, boxed per-element calls).
+//! * `a6_pair_map` measures the `mapReduce` map phase on the same
+//!   workload at perfbench's size (104 000 readings): the Fig. 19 mapper
+//!   `t ↦ ["avg", °C]` through `ring_map_pairs`, lowered to a key column
+//!   plus an `eval_batch` value column (`lowered`) versus one boxed call,
+//!   list and `as_map_pair` per item (`per_element`, `Disabled`).
+//!   Paired and ungated: the ratio is the signal.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -21,7 +27,7 @@ use snap_ast::pure::CompiledStrategy;
 use snap_ast::{PureFn, Ring, Value};
 use snap_data::{generate_noaa, NoaaConfig};
 use snap_parallel::parallel_map_with_options;
-use snap_workers::{ColumnarPolicy, RingMapOptions};
+use snap_workers::{ring_map_pairs, ColumnarPolicy, RingMapOptions};
 
 const ITEMS: usize = 1_000;
 
@@ -130,5 +136,44 @@ fn bench_columnar_map(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_eval, bench_columnar_map);
+fn bench_pair_map(c: &mut Criterion) {
+    let mut group = c.benchmark_group("a6_pair_map");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    group.sample_size(10);
+
+    // 50 stations × 40 years × 52 weekly readings = 104 000 items.
+    let temps = generate_noaa(&NoaaConfig {
+        stations: 50,
+        years: 40,
+        readings_per_year: 52,
+        ..NoaaConfig::default()
+    })
+    .temps_f_values();
+    group.throughput(Throughput::Elements(temps.len() as u64));
+    let mapper = bench::climate_mapper();
+    for (label, columnar) in [
+        ("lowered", ColumnarPolicy::Auto),
+        ("per_element", ColumnarPolicy::Disabled),
+    ] {
+        let mapper = mapper.clone();
+        let temps = temps.clone();
+        let options = RingMapOptions {
+            workers: 4,
+            columnar,
+            ..Default::default()
+        };
+        group.bench_function(label, move |b| {
+            b.iter(|| black_box(ring_map_pairs(mapper.clone(), temps.clone(), options).unwrap()))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_batch_eval,
+    bench_columnar_map,
+    bench_pair_map
+);
 criterion_main!(benches);

@@ -450,6 +450,34 @@ fn e5() {
         dataset.readings.len()
     );
     println!("  mapReduce mean: {avg:.3} C   analytic reference: {reference:.3} C");
+    // The map phase alone, as bench a6_pair_map times it: the
+    // `[key, number]` mapper lowered to a key column plus an eval_batch
+    // value column, against one boxed call + list + pair check per item.
+    let temps = dataset.temps_f_values();
+    let time_pairs = |columnar| {
+        let options = snap_workers::RingMapOptions {
+            workers: 4,
+            columnar,
+            ..Default::default()
+        };
+        let start = Instant::now();
+        let pairs = snap_workers::ring_map_pairs(climate_mapper(), temps.clone(), options)
+            .expect("climate map phase");
+        (start.elapsed(), pairs)
+    };
+    let (lowered, lowered_pairs) = time_pairs(snap_workers::ColumnarPolicy::Auto);
+    let (per_element, per_element_pairs) = time_pairs(snap_workers::ColumnarPolicy::Disabled);
+    let agree = lowered_pairs.len() == per_element_pairs.len()
+        && lowered_pairs
+            .iter()
+            .zip(&per_element_pairs)
+            .all(|((k1, v1), (k2, v2))| {
+                k1 == k2 && v1.to_number().to_bits() == v2.to_number().to_bits()
+            });
+    println!(
+        "  map phase: lowered {lowered:.2?}  per-element {per_element:.2?}  ({:.1}x, pairs agree: {agree})",
+        per_element.as_secs_f64() / lowered.as_secs_f64()
+    );
     let yearly = dataset.yearly_means_f();
     let first = snap_data::f_to_c(yearly.first().unwrap().1);
     let last = snap_data::f_to_c(yearly.last().unwrap().1);

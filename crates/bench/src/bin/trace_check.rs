@@ -5,6 +5,8 @@
 //! cargo run -p bench --bin trace_check -- target/trace.json [target/trace.json.report.json]
 //! cargo run -p bench --bin trace_check -- target/trace.json target/trace.json.report.json \
 //!     --require-counter shuffle.pairs_combined
+//! cargo run -p bench --bin trace_check -- target/trace.json target/trace.json.report.json \
+//!     --forbid-counter ring.batch_fallbacks
 //! cargo run -p bench --bin trace_check -- --bench-json target/ci/BENCH_BASELINE.json
 //! cargo run -p bench --bin trace_check -- --bench-json target/ci/BENCH_BASELINE.json \
 //!     --baseline BENCH_BASELINE.json
@@ -16,7 +18,10 @@
 //! combiner counters — is present. `--require-counter <name>`
 //! additionally asserts the named counter is **positive** in every
 //! report file checked (CI uses it to prove the map-side combiner
-//! actually ran on the traced example).
+//! actually ran on the traced example). `--forbid-counter <name>` is
+//! its mirror: the named counter must be present and **zero** (CI uses
+//! it to prove climate's map phases never fell back to boxed
+//! per-element calls).
 //!
 //! `--bench-json` instead validates a `scripts/bench.sh` baseline file
 //! (date, host_cpus, and a non-empty benches array of name/mean_ns/
@@ -125,7 +130,7 @@ const REQUIRED_REPORT_COUNTERS: &[&str] = &[
     "codegen.worker_reaped",
 ];
 
-fn check_report(path: &str, require_positive: &[String]) -> Result<(), String> {
+fn check_report(path: &str, require_positive: &[String], forbid: &[String]) -> Result<(), String> {
     let doc = parse_file(path)?;
     let object = doc
         .as_object()
@@ -153,6 +158,16 @@ fn check_report(path: &str, require_positive: &[String]) -> Result<(), String> {
             return Err(format!("{path}: counter {name:?} is {value}, expected > 0"));
         }
         println!("{path}: counter {name} = {value} (> 0 as required)");
+    }
+    for name in forbid {
+        let value = match counters.get(name.as_str()) {
+            Some(Value::Number(n)) => n.as_f64(),
+            _ => return Err(format!("{path}: forbidden counter {name:?} not found")),
+        };
+        if value != 0.0 {
+            return Err(format!("{path}: counter {name:?} is {value}, expected 0"));
+        }
+        println!("{path}: counter {name} = 0 (as required)");
     }
     println!("{path}: OK — {} counters", counters.len());
     Ok(())
@@ -448,7 +463,7 @@ fn main() -> ExitCode {
     if args.is_empty() {
         eprintln!(
             "usage: trace_check <chrome-trace.json> [report.json ...] \
-             [--require-counter <name> ...] \
+             [--require-counter <name> ...] [--forbid-counter <name> ...] \
              | --bench-json <BENCH.json> [--baseline <BENCH.json>] \
              | --overhead-gate <BENCH.json> \
              | --scrape <host:port> <path> <outfile> [--retry N] [--expect <substr> ...] \
@@ -555,25 +570,30 @@ fn main() -> ExitCode {
     }
     let mut paths: Vec<&str> = Vec::new();
     let mut require_positive: Vec<String> = Vec::new();
+    let mut forbid: Vec<String> = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
-        if arg == "--require-counter" {
-            match rest.next() {
-                Some(name) => require_positive.push(name.clone()),
-                None => {
-                    eprintln!("trace_check FAILED: --require-counter requires a name");
-                    return ExitCode::FAILURE;
-                }
+        let names = match arg.as_str() {
+            "--require-counter" => &mut require_positive,
+            "--forbid-counter" => &mut forbid,
+            _ => {
+                paths.push(arg);
+                continue;
             }
-        } else {
-            paths.push(arg);
+        };
+        match rest.next() {
+            Some(name) => names.push(name.clone()),
+            None => {
+                eprintln!("trace_check FAILED: {arg} requires a name");
+                return ExitCode::FAILURE;
+            }
         }
     }
     for (i, path) in paths.iter().enumerate() {
         let result = if i == 0 {
             check_trace(path)
         } else {
-            check_report(path, &require_positive)
+            check_report(path, &require_positive, &forbid)
         };
         if let Err(message) = result {
             eprintln!("trace_check FAILED: {message}");

@@ -138,6 +138,43 @@ fn require_counter_rejects_zero() {
 }
 
 #[test]
+fn forbid_counter_rejects_nonzero_and_accepts_zero() {
+    let trace = temp_file("ok_trace_d.json", VALID_TRACE);
+    // Every counter in the full report is 1: forbidding one must fail.
+    let report = temp_file("forbid_report.json", &full_report_json());
+    let out = trace_check(&[
+        trace.to_str().unwrap(),
+        report.to_str().unwrap(),
+        "--forbid-counter",
+        "ring.batch_fallbacks",
+    ]);
+    assert_fails(&out, "ring.batch_fallbacks");
+    // Zeroed, the same check passes.
+    let zeroed =
+        full_report_json().replace("\"ring.batch_fallbacks\": 1", "\"ring.batch_fallbacks\": 0");
+    let report = temp_file("forbid_zeroed_report.json", &zeroed);
+    let out = trace_check(&[
+        trace.to_str().unwrap(),
+        report.to_str().unwrap(),
+        "--forbid-counter",
+        "ring.batch_fallbacks",
+    ]);
+    assert!(
+        out.status.success(),
+        "a zero forbidden counter must pass: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // A misspelt name is an error, not a silent pass.
+    let out = trace_check(&[
+        trace.to_str().unwrap(),
+        report.to_str().unwrap(),
+        "--forbid-counter",
+        "ring.batch_fallback",
+    ]);
+    assert_fails(&out, "not found");
+}
+
+#[test]
 fn complete_trace_and_report_pass() {
     let trace = temp_file("ok_trace_c.json", VALID_TRACE);
     let report = temp_file("ok_report.json", &full_report_json());

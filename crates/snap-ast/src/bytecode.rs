@@ -24,6 +24,13 @@
 //!   the whole body runs on a stack-allocated `f64` array with zero
 //!   heap traffic per call.
 //!
+//! A third, narrower lowering serves the MapReduce map phase:
+//! [`PairProgram`] recognises a one-argument mapper whose body is
+//! `list(K, V)` — `K` a constant scalar or the bare argument, `V` a
+//! [`NumProgram`] — so the worker side can write `(key, number)` pairs
+//! without building and unpacking a list per item. It is compiled next
+//! to, not instead of, the ring's full program.
+//!
 //! Rings using higher-order or non-strict blocks (nested rings, `call`,
 //! `map`, `combine`, …) and rings referencing unbound variables are not
 //! lowered; [`crate::pure::PureFn`] keeps tree-walking those (and serves
@@ -553,6 +560,39 @@ enum Resolved<'a> {
     Captured(&'a Value),
 }
 
+/// Compile-time evaluation for constant folding. Only scalar results
+/// fold (lists have identity and fresh-storage semantics); operator
+/// folds reuse the interpreter's own `eval_binop` / `eval_unop`, so a
+/// folded node cannot diverge from an unfolded one. Returns `None` for
+/// anything not provably constant.
+fn fold(ring: &Ring, e: &Expr) -> Option<Value> {
+    let scalar = |v: Value| match v {
+        Value::Nothing | Value::Number(_) | Value::Text(_) | Value::Bool(_) => Some(v),
+        _ => None,
+    };
+    match e {
+        Expr::Literal(c) => match c {
+            Constant::List(_) => None,
+            _ => scalar(c.to_value()),
+        },
+        Expr::Var(name) => match resolve_var(ring, name)? {
+            // Captured values never change for the life of a ring.
+            Resolved::Captured(v) => scalar(v.clone()),
+            Resolved::Param(_) => None,
+        },
+        Expr::Binary(op, a, b) => {
+            let a = fold(ring, a)?;
+            let b = fold(ring, b)?;
+            scalar(eval_binop(*op, &a, &b))
+        }
+        Expr::Unary(op, a) => {
+            let a = fold(ring, a)?;
+            scalar(eval_unop(*op, &a))
+        }
+        _ => None,
+    }
+}
+
 // ---------------------------------------------------------------------
 // Boxed lowering
 // ---------------------------------------------------------------------
@@ -591,46 +631,13 @@ impl<'a> Builder<'a> {
         Some(dst)
     }
 
-    /// Compile-time evaluation for constant folding. Only scalar
-    /// results fold (lists have identity and fresh-storage semantics);
-    /// operator folds reuse the interpreter's own `eval_binop` /
-    /// `eval_unop`, so a folded node cannot diverge from an unfolded
-    /// one. Returns `None` for anything not provably constant.
-    fn fold(&self, e: &Expr) -> Option<Value> {
-        let scalar = |v: Value| match v {
-            Value::Nothing | Value::Number(_) | Value::Text(_) | Value::Bool(_) => Some(v),
-            _ => None,
-        };
-        match e {
-            Expr::Literal(c) => match c {
-                Constant::List(_) => None,
-                _ => scalar(c.to_value()),
-            },
-            Expr::Var(name) => match resolve_var(self.ring, name)? {
-                // Captured values never change for the life of a ring.
-                Resolved::Captured(v) => scalar(v.clone()),
-                Resolved::Param(_) => None,
-            },
-            Expr::Binary(op, a, b) => {
-                let a = self.fold(a)?;
-                let b = self.fold(b)?;
-                scalar(eval_binop(*op, &a, &b))
-            }
-            Expr::Unary(op, a) => {
-                let a = self.fold(a)?;
-                scalar(eval_unop(*op, &a))
-            }
-            _ => None,
-        }
-    }
-
     /// Emit instructions computing `e`, returning its result register.
     /// Emission follows the tree walk's evaluation order exactly — in
     /// particular the empty-slot cursor advances in evaluation order —
     /// so coercions and error precedence are preserved. `None` aborts
     /// the whole lowering (unsupported construct).
     fn emit(&mut self, e: &Expr) -> Option<Reg> {
-        if let Some(v) = self.fold(e) {
+        if let Some(v) = fold(self.ring, e) {
             return self.emit_const(v);
         }
         match e {
@@ -917,6 +924,71 @@ fn lower_numeric(ring: &Ring, expr: &Expr) -> Option<NumProgram> {
     })
 }
 
+// ---------------------------------------------------------------------
+// Pair lowering
+// ---------------------------------------------------------------------
+
+/// A `[key, number]` mapper, lowered for the MapReduce map phase: a key
+/// (a constant, or the argument itself) plus the value expression as a
+/// batchable [`NumProgram`].
+///
+/// For a one-argument call this computes exactly the pair the full ring
+/// reports: the list's two items are a constant or the argument (which
+/// cannot fail and have no effects) and a numeric program (bit-for-bit
+/// the tree walk's value for any argument type), so evaluating them
+/// column-wise instead of list-at-a-time changes nothing observable.
+#[derive(Debug)]
+pub struct PairProgram {
+    const_key: Option<Value>,
+    value: NumProgram,
+}
+
+impl PairProgram {
+    /// The key every pair gets, when it is a compile-time scalar (a
+    /// literal, or folded from captured values); `None` when each pair's
+    /// key is the mapper's argument itself (its parameter, or an empty
+    /// slot).
+    pub fn const_key(&self) -> Option<&Value> {
+        self.const_key.as_ref()
+    }
+
+    /// The value expression; always [`NumProgram::batchable`], with the
+    /// item as its single argument.
+    pub fn value(&self) -> &NumProgram {
+        &self.value
+    }
+}
+
+/// Lower a mapper of the shape `list(K, V)` to a [`PairProgram`]. The
+/// ring must take one argument (slot-style or one parameter), `K` must
+/// be a constant scalar or the bare argument, and `V` must pass the
+/// numeric lowering. Any other shape — more items, a list-valued or
+/// computed key, a non-numeric value, more parameters — returns `None`,
+/// and the mapper keeps its per-element path.
+pub fn lower_pair(ring: &Ring) -> Option<PairProgram> {
+    let expr = match &ring.body {
+        RingBody::Reporter(e) | RingBody::Predicate(e) => e,
+        RingBody::Command(_) => return None,
+    };
+    let Expr::MakeList(items) = expr else {
+        return None;
+    };
+    let [key, value] = items.as_slice() else {
+        return None;
+    };
+    if ring.params.len() > 1 {
+        return None;
+    }
+    let const_key = match key {
+        // With one argument, every empty slot receives it.
+        Expr::EmptySlot => None,
+        Expr::Var(name) if matches!(resolve_var(ring, name), Some(Resolved::Param(_))) => None,
+        _ => Some(fold(ring, key)?),
+    };
+    let value = lower_numeric(ring, value)?;
+    Some(PairProgram { const_key, value })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1158,6 +1230,54 @@ mod tests {
             Lowered::Numeric(_) => panic!("40-term chain cannot fit the numeric register file"),
         };
         assert_eq!(p.call(&[Value::Number(1.0)]).unwrap(), Value::Number(41.0));
+    }
+
+    #[test]
+    fn pair_mappers_lower_to_key_and_value_columns() {
+        // Fig. 19: t ↦ ["avg", 5 × (t − 32) ÷ 9].
+        let climate = Ring::reporter_with_params(
+            vec!["t".into()],
+            make_list(vec![
+                text("avg"),
+                div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
+            ]),
+        );
+        let p = lower_pair(&climate).expect("climate mapper lowers");
+        assert_eq!(p.const_key(), Some(&Value::text("avg")));
+        assert!(p.value().batchable());
+        assert_eq!(
+            p.value().call(&[Value::Number(212.0)]).unwrap(),
+            Value::Number(100.0)
+        );
+        // Fig. 11: w ↦ [w, 1], and its slot-style twin.
+        let word =
+            Ring::reporter_with_params(vec!["w".into()], make_list(vec![var("w"), num(1.0)]));
+        assert_eq!(lower_pair(&word).unwrap().const_key(), None);
+        let slot = Ring::reporter(make_list(vec![empty_slot(), num(1.0)]));
+        assert_eq!(lower_pair(&slot).unwrap().const_key(), None);
+        // A key folded from captured values.
+        let captured = Ring::reporter(make_list(vec![
+            add(var("k"), num(1.0)),
+            mul(empty_slot(), num(2.0)),
+        ]))
+        .with_captured(vec![("k".into(), Value::Number(2.0))]);
+        let p = lower_pair(&captured).expect("captured key folds");
+        assert_eq!(p.const_key(), Some(&Value::Number(3.0)));
+    }
+
+    #[test]
+    fn other_shapes_do_not_lower_to_pairs() {
+        // The 3-item list, list-valued key, `join` value and 2-parameter
+        // shapes are covered end to end by `pair_map_diff`.
+        let captured_list_key = Ring::reporter(make_list(vec![var("xs"), num(1.0)]))
+            .with_captured(vec![("xs".into(), Value::list(vec![1.into()]))]);
+        let computed_key = Ring::reporter(make_list(vec![mul(empty_slot(), num(2.0)), num(1.0)]));
+        let bare_value =
+            Ring::reporter_with_params(vec!["c".into()], make_list(vec![text("avg"), var("c")]));
+        let unbound_key = Ring::reporter(make_list(vec![var("nope"), num(1.0)]));
+        for ring in [captured_list_key, computed_key, bare_value, unbound_key] {
+            assert!(lower_pair(&ring).is_none(), "{ring:?} must not lower");
+        }
     }
 
     #[test]

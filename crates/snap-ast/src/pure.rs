@@ -12,13 +12,14 @@
 //! fast path — and calls dispatch to the compiled program; rings using
 //! higher-order blocks keep the re-entrant tree-walking evaluator, which
 //! also serves as the differential-testing oracle
-//! ([`PureFn::call_treewalk`]). A `PureFn` is `Send + Sync`, so worker
-//! threads can share it.
+//! ([`PureFn::call_treewalk`]). A `[key, number]` mapper also carries
+//! a [`PairProgram`] ([`PureFn::pair_program`]) for the MapReduce map
+//! phase. A `PureFn` is `Send + Sync`, so worker threads can share it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
-use crate::bytecode::{self, num_binop, num_unop, Lowered, NumProgram, Program};
+use crate::bytecode::{self, num_binop, num_unop, Lowered, NumProgram, PairProgram, Program};
 use crate::error::EvalError;
 use crate::expr::{BinOp, Expr, RingExprBody, UnOp};
 use crate::ring::{Ring, RingBody};
@@ -73,12 +74,14 @@ enum Compiled {
 pub struct PureFn {
     ring: Arc<Ring>,
     compiled: Compiled,
+    pair: Option<Arc<PairProgram>>,
 }
 
 impl PureFn {
     /// Compile a ring into a callable pure function: purity check, then
     /// bytecode lowering ([`crate::bytecode::lower`]), falling back to
-    /// the tree walk for constructs bytecode does not cover.
+    /// the tree walk for constructs bytecode does not cover, plus the
+    /// pair lowering ([`crate::bytecode::lower_pair`]) when it applies.
     pub fn compile(ring: Arc<Ring>) -> Result<PureFn, EvalError> {
         let expr = match &ring.body {
             RingBody::Reporter(e) | RingBody::Predicate(e) => e,
@@ -93,7 +96,12 @@ impl PureFn {
         if !matches!(compiled, Compiled::TreeWalk) {
             snap_trace::well_known::RING_BYTECODE_COMPILES.incr();
         }
-        Ok(PureFn { ring, compiled })
+        let pair = bytecode::lower_pair(&ring).map(Arc::new);
+        Ok(PureFn {
+            ring,
+            compiled,
+            pair,
+        })
     }
 
     /// The underlying ring.
@@ -164,6 +172,15 @@ impl PureFn {
         }
     }
 
+    /// The `[key, number]` form of this function, when its body is
+    /// `list(K, V)` with a constant-or-argument key and a numeric value
+    /// (see [`crate::bytecode::lower_pair`]) — what lets the MapReduce
+    /// map phase write pairs column-wise. `None` for every other ring;
+    /// [`PureFn::call`] is unaffected either way.
+    pub fn pair_program(&self) -> Option<&PairProgram> {
+        self.pair.as_deref()
+    }
+
     /// Evaluate a whole chunk of unboxed numbers at once — the columnar
     /// batch tier. Appends one output per input to `out` and returns
     /// `true`; returns `false` (appending nothing) when the function is
@@ -201,13 +218,16 @@ struct CompileCache {
     /// Keyed by `Arc::as_ptr` of the ring. The [`Weak`] both detects
     /// entry death (ring dropped → evictable) and guards against ABA:
     /// a recycled allocation address only hits when the stored weak
-    /// still upgrades to *this* `Arc`. Only the [`Compiled`] body is
-    /// stored — caching a whole [`PureFn`] would keep a strong
-    /// `Arc<Ring>` inside the cache and the entry could never die.
-    entries: HashMap<usize, (Weak<Ring>, Compiled)>,
+    /// still upgrades to *this* `Arc`. Only the [`Compiled`] body and
+    /// the pair program are stored — caching a whole [`PureFn`] would
+    /// keep a strong `Arc<Ring>` inside the cache and the entry could
+    /// never die.
+    entries: HashMap<usize, CacheEntry>,
     /// Insertions since the last dead-entry sweep.
     inserts_since_sweep: usize,
 }
+
+type CacheEntry = (Weak<Ring>, Compiled, Option<Arc<PairProgram>>);
 
 static COMPILE_CACHE: OnceLock<Mutex<CompileCache>> = OnceLock::new();
 
@@ -235,12 +255,13 @@ pub fn compile_cached(ring: &Arc<Ring>) -> Result<PureFn, EvalError> {
     let mut cache = compile_cache()
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let cached = cache.entries.get(&key).and_then(|(weak, compiled)| {
+    let cached = cache.entries.get(&key).and_then(|(weak, compiled, pair)| {
         weak.upgrade()
             .filter(|live| Arc::ptr_eq(live, ring))
             .map(|live| PureFn {
                 ring: live,
                 compiled: compiled.clone(),
+                pair: pair.clone(),
             })
     });
     match cached {
@@ -258,13 +279,20 @@ pub fn compile_cached(ring: &Arc<Ring>) -> Result<PureFn, EvalError> {
     if cache.entries.len() >= COMPILE_CACHE_CAP
         || cache.inserts_since_sweep >= COMPILE_CACHE_SWEEP_INTERVAL
     {
-        cache.entries.retain(|_, (weak, _)| weak.strong_count() > 0);
+        cache
+            .entries
+            .retain(|_, (weak, _, _)| weak.strong_count() > 0);
         cache.inserts_since_sweep = 0;
     }
     if cache.entries.len() < COMPILE_CACHE_CAP {
-        cache
-            .entries
-            .insert(key, (Arc::downgrade(ring), compiled.compiled.clone()));
+        cache.entries.insert(
+            key,
+            (
+                Arc::downgrade(ring),
+                compiled.compiled.clone(),
+                compiled.pair.clone(),
+            ),
+        );
         cache.inserts_since_sweep += 1;
     }
     Ok(compiled)
@@ -280,7 +308,7 @@ pub fn compile_cache_live_len() -> usize {
     cache
         .entries
         .values()
-        .filter(|(weak, _)| weak.strong_count() > 0)
+        .filter(|(weak, _, _)| weak.strong_count() > 0)
         .count()
 }
 

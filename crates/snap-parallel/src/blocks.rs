@@ -13,14 +13,20 @@
 //! propagate as errors instead of being quietly absorbed by a slower
 //! sequential pass.
 //!
-//! Both `parallelMap` and the `mapReduce` map phase route through
-//! `ring_map_faulted`, which detects all-numeric lists at entry and runs
-//! them on the **columnar batch tier** (flat `f64` chunks, one
-//! `eval_batch` per chunk — see `snap_workers::ColumnarPolicy`). The
-//! `mapReduce` mapper typically produces `[key, value]` lists and so
-//! stays boxed, but a numeric mapper feeding the shuffle batches too:
-//! boxing happens at the pair-validation seam, never inside the map
-//! loop.
+//! `parallelMap` routes through `ring_map_faulted`, which detects
+//! all-numeric lists at entry and runs them on the **columnar batch
+//! tier** (flat `f64` chunks, one `eval_batch` per chunk — see
+//! `snap_workers::ColumnarPolicy`). The `mapReduce` map phase routes
+//! through `ring_map_pairs_faulted`, which has a columnar form of its
+//! own: a mapper shaped `list(K, V)` — one argument, `K` a constant
+//! scalar or the argument itself, `V` numeric, like climate's
+//! `["avg", °C]` and word count's `[w, 1]` — is compiled to a key rule
+//! plus an unboxed value program, and each pool chunk writes its
+//! `(key, value)` pairs directly (`eval_batch` for the values when the
+//! chunk is all numbers, one unboxed call per item otherwise). Any other
+//! mapper runs per element, one boxed call per item, each result checked
+//! by `as_map_pair` — which rejects anything but a list of two or more
+//! items, so a bare-number mapper is an error, not a pair.
 
 use std::sync::Arc;
 

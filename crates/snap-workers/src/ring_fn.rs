@@ -18,13 +18,27 @@
 //! **columnar batch tier**: when the ring is batchable and every list
 //! element is a `Value::Number`, the map unboxes the list once, moves
 //! flat `f64` chunks through the pool, and runs `eval_batch` per chunk
-//! with no per-element dispatch at all (see [`ColumnarPolicy`]). The
-//! `ring.batch_calls` / `ring.fastpath_calls` / `ring.bytecode_calls` /
-//! `ring.treewalk_calls` counters show which tier a run used.
+//! with no per-element dispatch at all (see [`ColumnarPolicy`]).
+//!
+//! The MapReduce map phase ([`ring_map_pairs`]) has a columnar form too.
+//! A mapper of the shape `list(K, V)` — one argument, `K` a constant
+//! scalar or the bare argument, `V` a numeric expression — compiles to
+//! a [`PairProgram`], and each chunk writes its `(key, value)` pairs
+//! directly: the value column by `eval_batch` over the chunk's flat
+//! `f64`s (or one unboxed `NumProgram::call` per item when the chunk is
+//! not all-numeric), the key column by cloning the constant or
+//! isolating the item. Every other mapper, and every call outside the
+//! columnar gates, keeps the per-element path — the only fallback, and
+//! the oracle. The `ring.batch_calls` / `ring.fastpath_calls` /
+//! `ring.bytecode_calls` / `ring.treewalk_calls` counters show which
+//! tier a run used.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use snap_ast::bytecode::PairProgram;
 use snap_ast::pure::{compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
 use snap_codegen::worker::{native_pool, native_program_for, NativeProgram};
@@ -190,20 +204,41 @@ pub fn ring_map_faulted(
 ) -> Result<Vec<Value>, RingMapError> {
     let items = items.as_ref();
     let len = items.len();
+    let _span = snap_trace::span!("ring_map", len);
+    let f = compile_for_call(&ring, len)?;
+    map_compiled(&f, items, &options)
+}
+
+/// Count one ring call over `len` items and compile (or fetch) its ring.
+fn compile_for_call(ring: &Arc<Ring>, len: usize) -> Result<PureFn, RingMapError> {
     snap_trace::well_known::RING_MAP_CALLS.incr();
     snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
-    let _span = snap_trace::span!("ring_map", len);
-    let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
-    if options.columnar == ColumnarPolicy::Auto
+    compile_cached(ring).map_err(RingMapError::Eval)
+}
+
+/// The columnar tiers' shared gate: on by policy, no simulated latency
+/// (which must be slept per item), and a list big enough to pay for the
+/// scan.
+fn columnar_allowed(options: &RingMapOptions, len: usize) -> bool {
+    options.columnar == ColumnarPolicy::Auto
         && options.latency.is_none()
         && len >= COLUMNAR_MIN_ITEMS
-    {
+}
+
+/// The body of [`ring_map_faulted`] once the ring is compiled: the
+/// columnar batch tier when it applies, else per-element calls.
+fn map_compiled(
+    f: &PureFn,
+    items: &[Value],
+    options: &RingMapOptions,
+) -> Result<Vec<Value>, RingMapError> {
+    if columnar_allowed(options, items.len()) {
         if let Some(inputs) = f.is_batchable().then(|| columnar_f64(items)).flatten() {
             let native = match options.native {
-                NativePolicy::Auto => native_program_for(&ring),
+                NativePolicy::Auto => native_program_for(f.ring()),
                 NativePolicy::Disabled => None,
             };
-            return columnar_map(&f, inputs, &options, native.as_ref());
+            return columnar_map(f, inputs, options, native.as_ref());
         }
         // A batch-sized map stayed on the per-element path: either the
         // ring is not batchable or the list is not all-numeric.
@@ -219,14 +254,11 @@ pub fn ring_map_faulted(
             if let Some(latency) = options.latency {
                 std::thread::sleep(latency);
             }
-            let input = match options.isolation {
-                Isolation::Copy => item.deep_copy(),
-                Isolation::Share => item.clone(),
-            };
-            f.call1(input).map(|v| match options.isolation {
-                Isolation::Copy => v.deep_copy(),
-                Isolation::Share => v,
-            })
+            f.call1(isolate(item, options.isolation))
+                .map(|v| match options.isolation {
+                    Isolation::Copy => v.deep_copy(),
+                    Isolation::Share => v,
+                })
         },
     )
     .map_err(RingMapError::Exec)?;
@@ -234,6 +266,15 @@ pub fn ring_map_faulted(
         .into_iter()
         .collect::<Result<Vec<Value>, EvalError>>()
         .map_err(RingMapError::Eval)
+}
+
+/// An item as it crosses into a worker: structured-cloned under
+/// [`Isolation::Copy`], shared under [`Isolation::Share`].
+fn isolate(item: &Value, isolation: Isolation) -> Value {
+    match isolation {
+        Isolation::Copy => item.deep_copy(),
+        Isolation::Share => item.clone(),
+    }
 }
 
 /// The columnar detection scan: `Some(flat f64s)` when every element is
@@ -251,17 +292,47 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
     Some(flat)
 }
 
-/// The columnar batch tier of [`ring_map_faulted`]: the list moves
-/// through the work-stealing pool as flat `f64` chunk descriptors, each
-/// task runs one [`PureFn::eval_batch`] over its sub-slice, and results
-/// are boxed back to `Value`s only at the single output seam below.
+/// The columnar tiers' chunk runner, shared by [`columnar_map`] and
+/// [`pair_map`]: split `0..len` into coarse chunks
+/// ([`columnar_chunk_size`], at least `min_chunk` long) and run `body`
+/// once per chunk on the pool, returning the outputs in chunk order.
 ///
-/// Chunks are deliberately coarse ([`columnar_chunk_size`]): batch
-/// arithmetic is so cheap per element that fine-grained claiming is all
-/// overhead. The fault policy still applies — at chunk granularity: an
-/// injected panic retries the whole chunk, and exhausted budgets surface
-/// as [`RingMapError::Exec`] so callers degrade exactly as they do for
-/// the per-element path. Isolation needs no handling here: numbers are
+/// Chunks are deliberately coarse: columnar work is so cheap per element
+/// that fine-grained claiming is all overhead. The fault policy applies
+/// at chunk granularity: an injected panic retries the whole chunk, and
+/// an exhausted budget or a missed deadline surfaces as
+/// [`RingMapError::Exec`], so callers degrade exactly as they do for the
+/// per-element path.
+fn run_chunks<R: Send>(
+    len: usize,
+    min_chunk: usize,
+    options: &RingMapOptions,
+    body: impl Fn(Range<usize>) -> R + Send + Sync,
+) -> Result<Vec<R>, RingMapError> {
+    let chunk = columnar_chunk_size(len, options.workers).max(min_chunk);
+    let chunks: Vec<Range<usize>> = (0..len)
+        .step_by(chunk)
+        .map(|start| start..(start + chunk).min(len))
+        .collect();
+    try_map_slice_with(
+        &chunks,
+        options.workers,
+        options.strategy,
+        options.exec,
+        &options.policy,
+        |range| {
+            snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
+            body(range.clone())
+        },
+    )
+    .map_err(RingMapError::Exec)
+}
+
+/// The columnar batch tier of [`ring_map_faulted`]: the list moves
+/// through the work-stealing pool as flat `f64` chunk descriptors
+/// ([`run_chunks`]), each task runs one [`PureFn::eval_batch`] over its
+/// sub-slice, and results are boxed back to `Value`s only at the single
+/// output seam below. Isolation needs no handling here: numbers are
 /// plain copies either way.
 ///
 /// When `native` is set (the ring has a registered compiled program and
@@ -278,43 +349,32 @@ fn columnar_map(
 ) -> Result<Vec<Value>, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
-    let mut chunk = columnar_chunk_size(len, options.workers);
-    if native.is_some() {
-        // Coarsen so a typical chunk clears the frame threshold instead
-        // of splitting one native-worthy list into all-tail pieces.
-        chunk = chunk.max(NATIVE_MIN_ITEMS);
-    }
-    let chunks: Vec<std::ops::Range<usize>> = (0..len)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(len))
-        .collect();
-    let outputs = try_map_slice_with(
-        &chunks,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |range| {
-            snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-            if let Some(program) = native {
-                if range.len() >= NATIVE_MIN_ITEMS {
-                    match native_pool().map_frame(program, &inputs[range.clone()]) {
-                        Ok(out) => return out,
-                        Err(_) => {
-                            // Worker died twice (or never came up):
-                            // salvage the chunk in-process.
-                            snap_trace::well_known::CODEGEN_WORKER_FALLBACKS.incr();
-                        }
+    // With a native program, coarsen so a typical chunk clears the frame
+    // threshold instead of splitting one native-worthy list into
+    // all-tail pieces.
+    let min_chunk = if native.is_some() {
+        NATIVE_MIN_ITEMS
+    } else {
+        1
+    };
+    let outputs = run_chunks(len, min_chunk, options, |range| {
+        if let Some(program) = native {
+            if range.len() >= NATIVE_MIN_ITEMS {
+                match native_pool().map_frame(program, &inputs[range.clone()]) {
+                    Ok(out) => return out,
+                    Err(_) => {
+                        // Worker died twice (or never came up):
+                        // salvage the chunk in-process.
+                        snap_trace::well_known::CODEGEN_WORKER_FALLBACKS.incr();
                     }
                 }
             }
-            let mut out = Vec::with_capacity(range.len());
-            let batched = f.eval_batch(&inputs[range.clone()], &mut out);
-            debug_assert!(batched, "columnar_map requires a batchable ring");
-            out
-        },
-    )
-    .map_err(RingMapError::Exec)?;
+        }
+        let mut out = Vec::with_capacity(range.len());
+        let batched = f.eval_batch(&inputs[range], &mut out);
+        debug_assert!(batched, "columnar_map requires a batchable ring");
+        out
+    })?;
     // The boxing seam: flat chunk outputs become Values exactly once,
     // in input order.
     let mut values = Vec::with_capacity(len);
@@ -322,6 +382,66 @@ fn columnar_map(
         values.extend(chunk.into_iter().map(Value::Number));
     }
     Ok(values)
+}
+
+/// The columnar form of the MapReduce map phase: a `[key, number]`
+/// mapper's pairs, written chunk by chunk with no per-item ring call and
+/// no list built and unpacked per item.
+///
+/// Chunks, fault policy and retry granularity are [`columnar_map`]'s
+/// (one [`run_chunks`]). Within a chunk the value column is one
+/// `eval_batch` over the chunk's flat `f64`s when every item is a
+/// `Value::Number`, else one unboxed `NumProgram::call` per item — which
+/// coerces any argument exactly as the tree walk does. The key column is
+/// the constant, cloned, or the item itself, isolated like a
+/// per-element call's argument. A call with any non-numeric chunk counts
+/// one `ring.batch_fallbacks`, as [`map_compiled`] does for a
+/// non-numeric list.
+fn pair_map(
+    pair: &PairProgram,
+    items: &[Value],
+    options: &RingMapOptions,
+) -> Result<Vec<(Value, Value)>, RingMapError> {
+    let len = items.len();
+    let _span = snap_trace::span!("pair_map", len);
+    let key = |item: &Value| match pair.const_key() {
+        Some(k) => k.clone(),
+        None => isolate(item, options.isolation),
+    };
+    // A statistic only, read after every chunk has joined: Relaxed.
+    let unbatched = AtomicBool::new(false);
+    let chunks = run_chunks(len, 1, options, |range| {
+        let items = &items[range];
+        match columnar_f64(items) {
+            Some(flat) => {
+                snap_trace::well_known::RING_BATCH_CALLS.incr();
+                snap_trace::well_known::RING_BATCH_ELEMS.add(flat.len() as u64);
+                let mut values = Vec::with_capacity(flat.len());
+                pair.value().eval_batch(&flat, &mut values);
+                Ok(items
+                    .iter()
+                    .zip(values)
+                    .map(|(item, v)| (key(item), Value::Number(v)))
+                    .collect())
+            }
+            None => {
+                unbatched.store(true, Ordering::Relaxed);
+                snap_trace::well_known::RING_FASTPATH_CALLS.add(items.len() as u64);
+                items
+                    .iter()
+                    .map(|item| Ok((key(item), pair.value().call(std::slice::from_ref(item))?)))
+                    .collect::<Result<Vec<(Value, Value)>, EvalError>>()
+            }
+        }
+    })?;
+    if unbatched.into_inner() {
+        snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
+    }
+    let mut pairs = Vec::with_capacity(len);
+    for chunk in chunks {
+        pairs.extend(chunk.map_err(RingMapError::Eval)?);
+    }
+    Ok(pairs)
 }
 
 /// Validate one mapper output as a `[key, value]` pair (the shape the
@@ -341,7 +461,9 @@ pub fn as_map_pair(pair: Value) -> Result<(Value, Value), EvalError> {
 
 /// Apply a reporter ring to every item, returning `[key, value]` pairs —
 /// the worker half of the MapReduce map phase. Identical to [`ring_map`]
-/// but validates each result is a pair.
+/// followed by [`as_map_pair`] on each result; a `[key, number]` mapper
+/// takes the columnar pair path instead (see the module docs), with the
+/// same output.
 pub fn ring_map_pairs(
     ring: Arc<Ring>,
     items: Vec<Value>,
@@ -356,8 +478,16 @@ pub fn ring_map_pairs_faulted(
     items: impl AsRef<[Value]>,
     options: RingMapOptions,
 ) -> Result<Vec<(Value, Value)>, RingMapError> {
-    let mapped = ring_map_faulted(ring, items, options)?;
-    mapped
+    let items = items.as_ref();
+    let len = items.len();
+    let _span = snap_trace::span!("ring_map", len);
+    let f = compile_for_call(&ring, len)?;
+    if let Some(pair) = f.pair_program() {
+        if columnar_allowed(&options, len) {
+            return pair_map(pair, items, &options);
+        }
+    }
+    map_compiled(&f, items, &options)?
         .into_iter()
         .map(as_map_pair)
         .collect::<Result<Vec<(Value, Value)>, EvalError>>()
@@ -383,10 +513,8 @@ pub fn ring_reduce_groups_faulted(
 ) -> Result<Vec<Value>, RingMapError> {
     let groups = groups.as_ref();
     let len = groups.len();
-    snap_trace::well_known::RING_MAP_CALLS.incr();
-    snap_trace::well_known::RING_MAP_ITEMS.add(len as u64);
     let _span = snap_trace::span!("ring_reduce_groups", len);
-    let f = compile_cached(&ring).map_err(RingMapError::Eval)?;
+    let f = compile_for_call(&ring, len)?;
     let results = try_map_slice_with(
         groups,
         options.workers,

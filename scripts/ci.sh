@@ -44,10 +44,11 @@ echo "==> traced example: climate --trace (columnar batch tier must engage)"
 cargo run --release --example climate -- --trace target/ci/climate_trace.json \
   > target/ci/climate.txt
 
-echo "==> validate climate trace + assert the columnar batch tier ran"
+echo "==> validate climate trace + assert the columnar tiers ran with no boxed fallback"
 cargo run --release -p bench --bin trace_check -- \
   target/ci/climate_trace.json target/ci/climate_trace.json.report.json \
-  --require-counter ring.batch_calls --require-counter par.columnar_chunks
+  --require-counter ring.batch_calls --require-counter par.columnar_chunks \
+  --forbid-counter ring.batch_fallbacks
 
 echo "==> traced example: word_count --stream (streaming tier must engage)"
 cargo run --release --example word_count -- --stream 64 \

@@ -18,11 +18,13 @@ use std::time::Duration;
 
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
-use snap_parallel::{map_reduce_with_policy, parallel_map_with_options, parallel_map_with_policy};
+use snap_parallel::{
+    map_reduce, map_reduce_with_policy, parallel_map_with_options, parallel_map_with_policy,
+};
 use snap_trace::well_known as metrics;
 use snap_workers::{
-    install_injector, try_map_slice_with, ColumnarPolicy, ExecError, ExecMode, FaultInjector,
-    FaultPolicy, RingMapOptions, Strategy,
+    columnar_chunk_size, install_injector, ring_map_pairs_faulted, try_map_slice_with,
+    ColumnarPolicy, ExecError, ExecMode, FaultInjector, FaultPolicy, RingMapOptions, Strategy,
 };
 
 /// Serializes tests that install the process-global fault injector.
@@ -71,6 +73,48 @@ fn times_ten_ring() -> Arc<Ring> {
 
 fn number_items(n: usize) -> Vec<Value> {
     (0..n).map(|i| Value::Number(i as f64)).collect()
+}
+
+/// The Fig. 19 climate mapper, `t ↦ ["avg", 5 × (t − 32) ÷ 9]` — a
+/// `[key, number]` mapper, so its map phase takes the columnar pair path.
+fn climate_mapper() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["t".into()],
+        make_list(vec![
+            text("avg"),
+            div(mul(num(5.0), sub(var("t"), num(32.0))), num(9.0)),
+        ]),
+    ))
+}
+
+/// The Fig. 20 averaging reducer.
+fn averaging_reducer() -> Arc<Ring> {
+    Arc::new(Ring::reporter_with_params(
+        vec!["vals".into()],
+        div(
+            combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
+            length_of(var("vals")),
+        ),
+    ))
+}
+
+/// °F readings for the climate mapper.
+fn readings(n: usize) -> Vec<Value> {
+    (0..n)
+        .map(|i| Value::Number(14.0 + (i % 97) as f64 * 0.9))
+        .collect()
+}
+
+/// The one `[avg, mean]` group's mean, as bits.
+fn mean_bits(out: &[Value]) -> u64 {
+    assert_eq!(out.len(), 1, "one group");
+    out[0]
+        .as_list()
+        .unwrap()
+        .item(2)
+        .unwrap()
+        .to_number()
+        .to_bits()
 }
 
 // ---------------------------------------------------------------------
@@ -293,6 +337,105 @@ fn blocks_degrade_to_sequential_when_retries_are_zero() {
 }
 
 // ---------------------------------------------------------------------
+// The columnar pair path of mapReduce under the same fault ladder.
+// ---------------------------------------------------------------------
+
+#[test]
+fn lowered_map_phase_retries_whole_chunks() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let items = readings(4096);
+    let options = RingMapOptions {
+        workers: 4,
+        policy: FaultPolicy::with_retries(8).backoff(Duration::from_micros(10)),
+        ..Default::default()
+    };
+    let expected = ring_map_pairs_faulted(climate_mapper(), &items, options).unwrap();
+
+    let before = FaultCounters::snapshot();
+    install_injector(Some(FaultInjector::new(0x9A1).panic_probability(0.3)));
+    let out = ring_map_pairs_faulted(climate_mapper(), &items, options);
+    install_injector(None);
+
+    let out = out.expect("retries absorb the injected panics");
+    assert_eq!(out.len(), expected.len());
+    for (i, ((k, v), (ek, ev))) in out.iter().zip(&expected).enumerate() {
+        assert_eq!(k, ek, "key {i}");
+        assert_eq!(
+            v.to_number().to_bits(),
+            ev.to_number().to_bits(),
+            "value {i}"
+        );
+    }
+    let delta = FaultCounters::snapshot().delta_since(&before);
+    assert!(delta.panicked >= 1, "the injector must have fired");
+    assert_eq!(delta.panicked, delta.retried + delta.final_failures);
+    // The injector keys on chunk descriptors, not items: at most every
+    // attempt of every chunk can panic — far fewer than 30% of 4096.
+    let chunks = items.len().div_ceil(columnar_chunk_size(items.len(), 4));
+    assert!(
+        delta.panicked <= (chunks * 9) as u64,
+        "{} panics over {chunks} chunks: the pair path retried per item",
+        delta.panicked
+    );
+}
+
+#[test]
+fn lowered_map_reduce_degrades_to_the_fault_free_output() {
+    let _guard = injector_lock();
+    install_injector(None);
+    let items = readings(4096);
+    let expected = map_reduce(climate_mapper(), averaging_reducer(), items.clone(), 4).unwrap();
+
+    // No retry budget and every attempt panics: both phases fail fast,
+    // and map_reduce re-runs each sequentially, injector-free.
+    let before = FaultCounters::snapshot();
+    install_injector(Some(FaultInjector::new(17).panic_probability(1.0)));
+    let out = map_reduce_with_policy(
+        climate_mapper(),
+        averaging_reducer(),
+        items,
+        4,
+        FaultPolicy::default(),
+    );
+    install_injector(None);
+
+    let out = out.expect("the blocks layer degrades instead of failing");
+    assert_eq!(mean_bits(&out), mean_bits(&expected));
+    let delta = FaultCounters::snapshot().delta_since(&before);
+    assert!(delta.degraded >= 1, "the degraded run must be recorded");
+}
+
+#[test]
+fn lowered_map_phase_deadline_surfaces_as_an_error() {
+    let _guard = injector_lock();
+    let before = FaultCounters::snapshot();
+    // Every chunk attempt stalls 5 ms against a 1 ms deadline.
+    install_injector(Some(
+        FaultInjector::new(19).delay_probability(1.0, Duration::from_millis(5)),
+    ));
+    let result = map_reduce_with_policy(
+        climate_mapper(),
+        averaging_reducer(),
+        readings(4096),
+        2,
+        FaultPolicy::default().deadline(Duration::from_millis(1)),
+    );
+    install_injector(None);
+
+    let err = match result {
+        Err(err) => format!("{err}"),
+        Ok(out) => panic!("expected a deadline error, got {} groups", out.len()),
+    };
+    assert!(
+        err.contains("deadline exceeded"),
+        "error should name the deadline: {err}"
+    );
+    let delta = FaultCounters::snapshot().delta_since(&before);
+    assert_eq!(delta.degraded, 0, "deadlines must never degrade");
+}
+
+// ---------------------------------------------------------------------
 // The CI chaos job: heavier stress under a fixed seed, with artifacts.
 // Run with: cargo test --release --test integration_faults -- --ignored
 // ---------------------------------------------------------------------
@@ -411,6 +554,18 @@ fn chaos_stress_is_deterministic_under_a_fixed_seed() {
     install_injector(None);
     let groups = groups.expect("chaos mapReduce completes");
     assert_eq!(groups.len(), 97, "one group per distinct word");
+
+    // The climate mapReduce: its `[key, number]` mapper takes the
+    // columnar pair path, so the injector keys on chunks there. The mean
+    // must be bit-identical to the fault-free run.
+    let items = readings(10_000);
+    let expected = map_reduce(climate_mapper(), averaging_reducer(), items.clone(), 4)
+        .expect("fault-free climate mapReduce");
+    install_injector(Some(chaos_injector));
+    let out = map_reduce_with_policy(climate_mapper(), averaging_reducer(), items, 4, policy);
+    install_injector(None);
+    let out = out.expect("chaos climate mapReduce completes");
+    assert_eq!(mean_bits(&out), mean_bits(&expected));
 
     snap_trace::set_enabled(false);
 

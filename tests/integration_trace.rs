@@ -112,13 +112,15 @@ fn traced_run_emits_reconcilable_trace_and_report() {
     // The ×10 map ring is numeric over an all-Number list → the run must
     // take the columnar batch tier: every one of its 10k elements flows
     // through eval_batch chunks, with no per-element dispatch. The
-    // word-count mapper's make_list body runs boxed bytecode; the
-    // associative reducer makes the shuffle fold per chunk.
+    // word-count mapper `[w, 1]` lowers to a key column plus a numeric
+    // value column, so each of its 6144 text items costs one unboxed
+    // fast-path call and no boxed bytecode; the associative reducer
+    // makes the shuffle fold per chunk.
     assert!(report.counter("ring.bytecode_compiles") >= 2);
     assert!(report.counter("ring.batch_elems") >= 10_000);
     assert!(report.counter("ring.batch_calls") >= 1);
     assert!(report.counter("par.columnar_chunks") >= 1);
-    assert!(report.counter("ring.bytecode_calls") >= 1);
+    assert!(report.counter("ring.fastpath_calls") >= 6144);
     assert!(report.counter("shuffle.combine_runs") >= 1);
     assert!(
         report.counter("shuffle.pairs_combined") > 0,

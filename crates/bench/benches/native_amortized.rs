@@ -6,7 +6,8 @@
 //! * `persistent_*` — one warm `--serve` worker per compiled program
 //!   ([`native_pool`]): the timed loop is a single binary frame
 //!   (header + raw `f64` lanes both ways) against a process that was
-//!   spawned once. This is the tier `NativePolicy::Auto` routes to.
+//!   spawned once. This is how codegen's differential checks
+//!   (`native_worker_diff`, `codegen_check --persistent`) drive it.
 //! * `spawn_*` — the same compiled binary, but a fresh process per
 //!   invocation ([`NativeWorker::spawn`] + one frame + drop): what the
 //!   native tier costs without the pool. The persistent/spawn gap is
@@ -30,7 +31,7 @@ use std::time::Duration;
 use snap_ast::builder::*;
 use snap_ast::pure::compile_cached;
 use snap_ast::{Expr, Ring};
-use snap_codegen::worker::{native_pool, register_native_map, NativeWorker};
+use snap_codegen::worker::{compile_native_map, native_pool, NativeWorker};
 
 const SIZES: [usize; 2] = [12_000, 120_000];
 
@@ -72,7 +73,7 @@ fn bench_native_amortized(c: &mut Criterion) {
         let f = compile_cached(&ring).expect("ring compiles to bytecode");
         // Compile once outside every timed loop (content-addressed
         // cache); a missing C toolchain skips the native rows only.
-        let program = register_native_map(&ring)
+        let program = compile_native_map(&ring)
             .map_err(|e| eprintln!("a10_native_amortized: skipping native {label} rows: {e}"))
             .ok();
 

@@ -126,7 +126,6 @@ const REQUIRED_REPORT_COUNTERS: &[&str] = &[
     "codegen.worker_spawns",
     "codegen.worker_frames",
     "codegen.worker_restarts",
-    "codegen.worker_fallbacks",
     "codegen.worker_reaped",
 ];
 

@@ -71,7 +71,6 @@ fn full_report_json() -> String {
         "codegen.worker_spawns",
         "codegen.worker_frames",
         "codegen.worker_restarts",
-        "codegen.worker_fallbacks",
         "codegen.worker_reaped",
     ];
     let body: Vec<String> = counters.iter().map(|c| format!("\"{c}\": 1")).collect();

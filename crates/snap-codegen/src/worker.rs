@@ -35,25 +35,22 @@
 //! payload kind before any frame is sent. A frame failure (worker
 //! crashed, pipe closed, short read) discards the worker, respawns it
 //! **once** (`codegen.worker_restarts`) and retries the frame; a second
-//! failure returns the error so the caller falls back to the in-process
-//! batch tier (`codegen.worker_fallbacks` — counted at the fallback
-//! site). Warm workers idle past [`NativePool::idle_after`] are reaped
-//! on the next pool access, and a recompile under a new cache key
-//! retires the old worker instead of letting it serve stale code
-//! (`codegen.worker_reaped` either way).
+//! failure returns the error to the caller. Warm workers idle past
+//! [`NativePool::idle_after`] are reaped on the next pool access, and a
+//! recompile under a new cache key retires the old worker instead of
+//! letting it serve stale code (`codegen.worker_reaped` either way).
 //!
-//! **Registry.** [`register_native_map`] compiles a ring's emitted map
-//! program and records it keyed on the ring's `Arc` identity (the
-//! `compile_cached` idiom: `Weak` + `ptr_eq` so ABA pointer reuse can't
-//! resurrect a dead registration). `snap-workers::ring_fn` consults
-//! [`native_program_for`] — unregistered rings never route native, so
-//! `NativePolicy::Auto` is a no-op until a caller opts a ring in.
+//! **Role.** [`compile_native_map`] emits and compiles a ring's map
+//! program for the pool. The warm worker is codegen's own differential
+//! and bench tool (`native_worker_diff`, `codegen_check --persistent`,
+//! the `a10_native_amortized` bench); `ring_map` never routes to it and
+//! runs entirely in-process.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use snap_ast::Ring;
@@ -476,63 +473,23 @@ pub fn native_pool() -> &'static NativePool {
 }
 
 // ---------------------------------------------------------------------
-// Ring registry: which rings have a harness-compiled program
+// Compiling a ring for the pool
 // ---------------------------------------------------------------------
 
-type Registry = Mutex<HashMap<usize, (Weak<Ring>, NativeProgram)>>;
-
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Emit, compile (content-addressed cache), and register the native map
-/// program for `ring`. After this, `NativePolicy::Auto` in
-/// `snap-workers::ring_fn` routes this ring's large columnar chunks
-/// through the warm worker. Errors when the ring does not translate to
-/// C, no toolchain exists, or the compile fails.
-pub fn register_native_map(ring: &Arc<Ring>) -> Result<NativeProgram, HarnessError> {
+/// Emit and compile (content-addressed cache) the native map program
+/// for `ring`, ready for [`NativePool::map_frame`]. Errors when the ring
+/// does not translate to C, no toolchain exists, or the compile fails.
+pub fn compile_native_map(ring: &Ring) -> Result<NativeProgram, HarnessError> {
     let source = emit_map_openmp(ring)
         .map_err(|e| HarnessError::Io(format!("ring does not translate to C: {e}")))?;
     let harness = Harness::detect()?;
     let name = format!("native_ring_{:016x}", fnv1a(source.as_bytes()));
     let compiled = harness.compile(&name, &[("map_program.c", &source)], true)?;
-    let program = NativeProgram {
+    Ok(NativeProgram {
         name,
         binary: compiled.binary,
         kind: WorkerKind::Map,
-    };
-    register_native_program(ring, program.clone());
-    Ok(program)
-}
-
-/// Record `program` as the native implementation of `ring`, keyed on
-/// the `Arc`'s pointer identity ([`native_program_for`] guards against
-/// ABA reuse with a `Weak` + `ptr_eq` check). Public so tests can
-/// inject chaos binaries; normal callers use [`register_native_map`].
-pub fn register_native_program(ring: &Arc<Ring>, program: NativeProgram) {
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    // Opportunistic sweep: drop entries whose ring died, so the map
-    // stays proportional to live registrations.
-    if map.len() >= 64 {
-        map.retain(|_, (weak, _)| weak.strong_count() > 0);
-    }
-    map.insert(Arc::as_ptr(ring) as usize, (Arc::downgrade(ring), program));
-}
-
-/// The registered native program for `ring`, if its registration is
-/// still live (same `Arc`, not a reused allocation).
-pub fn native_program_for(ring: &Arc<Ring>) -> Option<NativeProgram> {
-    let map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    let (weak, program) = map.get(&(Arc::as_ptr(ring) as usize))?;
-    let strong = weak.upgrade()?;
-    Arc::ptr_eq(&strong, ring).then(|| program.clone())
-}
-
-/// Remove `ring`'s registration; returns whether one existed.
-pub fn unregister_native(ring: &Arc<Ring>) -> bool {
-    let mut map = registry().lock().unwrap_or_else(|e| e.into_inner());
-    map.remove(&(Arc::as_ptr(ring) as usize)).is_some()
+    })
 }
 
 #[cfg(test)]
@@ -545,21 +502,6 @@ mod tests {
             binary: PathBuf::from(format!("/nonexistent/{name}")),
             kind: WorkerKind::Map,
         }
-    }
-
-    #[test]
-    fn registry_is_keyed_on_arc_identity() {
-        use snap_ast::builder::*;
-        let ring = Arc::new(Ring::reporter(mul(empty_slot(), num(2.0))));
-        let twin = Arc::new(Ring::reporter(mul(empty_slot(), num(2.0))));
-        register_native_program(&ring, fake_program("identity_test"));
-        assert!(native_program_for(&ring).is_some());
-        assert!(
-            native_program_for(&twin).is_none(),
-            "structurally equal ring must not hit the registration"
-        );
-        assert!(unregister_native(&ring));
-        assert!(native_program_for(&ring).is_none());
     }
 
     #[test]

@@ -50,7 +50,7 @@ use snap_ast::pure::{compile_cached, PureFn};
 use snap_ast::{BinOp, EvalError, Ring, Value};
 use snap_trace::well_known as metrics;
 use snap_workers::channel::{bounded, ChannelMonitor, Receiver, Sender};
-use snap_workers::fault::injector;
+use snap_workers::fault::{attempt, injector, last_chance};
 use snap_workers::{as_map_pair, global_pool, ExecMode, FaultPolicy};
 
 use crate::blocks::associative_fold_op;
@@ -330,6 +330,9 @@ struct RunCounters {
 
 struct Shared {
     counters: RunCounters,
+    /// The `stream.run` span, opened on the caller's thread; stage jobs
+    /// link their fault retries back to it.
+    origin: u64,
     error: Mutex<Option<EvalError>>,
     aborted: AtomicBool,
     monitors: Vec<ChannelMonitor<Block>>,
@@ -369,6 +372,8 @@ struct FarmExec<'a> {
     op: &'a StageOp,
     f: PureFn,
     policy: FaultPolicy,
+    /// The `stream.run*` span that retries link back to.
+    origin: u64,
     counters: &'a RunCounters,
 }
 
@@ -376,6 +381,7 @@ impl<'a> FarmExec<'a> {
     fn new(
         op: &'a StageOp,
         policy: FaultPolicy,
+        origin: u64,
         counters: &'a RunCounters,
     ) -> Result<Self, EvalError> {
         let ring = match op {
@@ -386,6 +392,7 @@ impl<'a> FarmExec<'a> {
             op,
             f: compile_cached(ring)?,
             policy,
+            origin,
             counters,
         })
     }
@@ -399,29 +406,11 @@ impl<'a> FarmExec<'a> {
             data,
             credit,
         } = block;
-        let inj = injector();
-        let mut attempt = 0u32;
-        let out = loop {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inj) = &inj {
-                    inj.inject(seq, attempt);
-                }
-                self.transform(&data)
-            }));
-            match result {
-                Ok(out) => break out?,
-                Err(_) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    if attempt < self.policy.retries {
-                        metrics::FAULT_RETRIES_SCHEDULED.incr();
-                        std::thread::sleep(self.policy.backoff_for(attempt));
-                        attempt += 1;
-                    } else {
-                        metrics::FAULT_FAILURES_FINAL.incr();
-                        break self.salvage(&data)?;
-                    }
-                }
-            }
+        let out = match attempt(seq, &self.policy, injector(), self.origin, || {
+            self.transform(&data)
+        }) {
+            Ok(out) => out?,
+            Err(_) => self.salvage(&data)?,
         };
         Ok(Block {
             seq,
@@ -508,7 +497,7 @@ impl<'a> FarmExec<'a> {
         let mut out = Vec::with_capacity(data.len());
         let mut dropped = 0u64;
         let mut one = |item: Value| {
-            let result = catch_unwind(AssertUnwindSafe(|| -> Result<Vec<Value>, EvalError> {
+            let result = last_chance(|| -> Result<Vec<Value>, EvalError> {
                 match self.op {
                     StageOp::Map(_) => Ok(vec![self.f.call1(item.deep_copy())?.deep_copy()]),
                     StageOp::Filter(_) => Ok(if self.f.call1(item.deep_copy())?.to_bool() {
@@ -523,7 +512,7 @@ impl<'a> FarmExec<'a> {
                     }
                     StageOp::ReduceByKey { .. } => unreachable!(),
                 }
-            }));
+            });
             match result {
                 Ok(Ok(values)) => {
                     out.extend(values);
@@ -531,8 +520,6 @@ impl<'a> FarmExec<'a> {
                 }
                 Ok(Err(e)) => Err(e),
                 Err(_) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    metrics::FAULT_FAILURES_FINAL.incr();
                     dropped += 1;
                     Ok(())
                 }
@@ -584,6 +571,8 @@ struct ReduceExec<'a> {
     fold: Option<BinOp>,
     window_items: usize,
     policy: FaultPolicy,
+    /// The `stream.run*` span that retries link back to.
+    origin: u64,
     counters: &'a RunCounters,
     pending: Vec<(Value, Value)>,
     /// (block born, pairs remaining from that block) — tracks the
@@ -600,6 +589,7 @@ impl<'a> ReduceExec<'a> {
         reducer: &Arc<Ring>,
         window_items: usize,
         policy: FaultPolicy,
+        origin: u64,
         counters: &'a RunCounters,
     ) -> Result<Self, EvalError> {
         Ok(ReduceExec {
@@ -607,6 +597,7 @@ impl<'a> ReduceExec<'a> {
             fold: associative_fold_op(reducer),
             window_items: window_items.max(1),
             policy,
+            origin,
             counters,
             pending: Vec::new(),
             origins: VecDeque::new(),
@@ -686,51 +677,33 @@ impl<'a> ReduceExec<'a> {
         metrics::STREAM_WINDOWS.incr();
         self.counters.windows.fetch_add(1, Ordering::Relaxed);
 
-        let inj = injector();
         let seq = self.out_seq;
-        let mut attempt = 0u32;
-        let items = loop {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inj) = &inj {
-                    // Key window injections away from block keys so a
-                    // seeded injector exercises both independently.
-                    inj.inject(u64::MAX - seq, attempt);
+        // Key window injections away from block keys so a seeded
+        // injector exercises both independently.
+        let key = u64::MAX - seq;
+        let items = match attempt(key, &self.policy, injector(), self.origin, || {
+            self.compute(&pairs)
+        }) {
+            Ok(items) => items?,
+            // Injector-free last chance; a window that still panics is
+            // dropped whole (the empty block keeps the output sequence
+            // dense).
+            Err(_) => match last_chance(|| self.compute(&pairs)) {
+                Ok(items) => {
+                    metrics::STREAM_BLOCKS_SALVAGED.incr();
+                    self.counters
+                        .blocks_salvaged
+                        .fetch_add(1, Ordering::Relaxed);
+                    items?
                 }
-                self.compute(&pairs)
-            }));
-            match result {
-                Ok(items) => break items?,
                 Err(_) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    if attempt < self.policy.retries {
-                        metrics::FAULT_RETRIES_SCHEDULED.incr();
-                        std::thread::sleep(self.policy.backoff_for(attempt));
-                        attempt += 1;
-                    } else {
-                        metrics::FAULT_FAILURES_FINAL.incr();
-                        // Injector-free last chance; a window that still
-                        // panics is dropped whole (empty block keeps the
-                        // output sequence dense).
-                        match catch_unwind(AssertUnwindSafe(|| self.compute(&pairs))) {
-                            Ok(items) => {
-                                metrics::STREAM_BLOCKS_SALVAGED.incr();
-                                self.counters
-                                    .blocks_salvaged
-                                    .fetch_add(1, Ordering::Relaxed);
-                                break items?;
-                            }
-                            Err(_) => {
-                                metrics::POOL_JOBS_PANICKED.incr();
-                                metrics::STREAM_ITEMS_DROPPED.add(take as u64);
-                                self.counters
-                                    .items_dropped
-                                    .fetch_add(take as u64, Ordering::Relaxed);
-                                break Vec::new();
-                            }
-                        }
-                    }
+                    metrics::STREAM_ITEMS_DROPPED.add(take as u64);
+                    self.counters
+                        .items_dropped
+                        .fetch_add(take as u64, Ordering::Relaxed);
+                    Vec::new()
                 }
-            }
+            },
         };
         self.out_seq += 1;
         metrics::STREAM_BLOCKS.incr();
@@ -883,6 +856,7 @@ impl Pipeline {
 
         let shared = Shared {
             counters: RunCounters::default(),
+            origin: snap_trace::current_span_id(),
             error: Mutex::new(None),
             aborted: AtomicBool::new(false),
             monitors,
@@ -1044,6 +1018,7 @@ impl Pipeline {
             Ok(Err(e)) => shared.abort(e),
             Err(payload) => {
                 metrics::POOL_JOBS_PANICKED.incr();
+                metrics::FAULT_FAILURES_FINAL.incr();
                 shared.abort(EvalError::Other(format!(
                     "stream: a pipeline job panicked: {}",
                     snap_workers::panic_message(payload.as_ref())
@@ -1115,7 +1090,7 @@ impl Pipeline {
         shared: &Shared,
         config: &StreamConfig,
     ) -> Result<(), EvalError> {
-        let exec = FarmExec::new(op, config.policy, &shared.counters)?;
+        let exec = FarmExec::new(op, config.policy, shared.origin, &shared.counters)?;
         while let Some(block) = rx.recv() {
             let out = exec.feed(block)?;
             if tx.send(out).is_err() {
@@ -1136,7 +1111,13 @@ impl Pipeline {
         shared: &Shared,
         config: &StreamConfig,
     ) -> Result<(), EvalError> {
-        let mut exec = ReduceExec::new(reducer, window_items, config.policy, &shared.counters)?;
+        let mut exec = ReduceExec::new(
+            reducer,
+            window_items,
+            config.policy,
+            shared.origin,
+            &shared.counters,
+        )?;
         while let Some(block) = rx.recv() {
             for out in exec.feed(block, &shared.credits)? {
                 if tx.send(out).is_err() {
@@ -1159,6 +1140,7 @@ impl Pipeline {
         sink: &mut impl FnMut(Value),
     ) -> Result<StreamStats, EvalError> {
         let _span = snap_trace::span!("stream.run_sequential");
+        let origin = snap_trace::current_span_id();
         let config = self.normalized_config();
         let counters = RunCounters::default();
         let credits = Credits::new(config.max_in_flight);
@@ -1175,11 +1157,12 @@ impl Pipeline {
                         reducer,
                         *window_items,
                         config.policy,
+                        origin,
                         &counters,
                     )?));
                 }
                 op => {
-                    farms.push(Some(FarmExec::new(op, config.policy, &counters)?));
+                    farms.push(Some(FarmExec::new(op, config.policy, origin, &counters)?));
                     reduces.push(None);
                 }
             }

@@ -37,6 +37,8 @@ fn injected_panics_salvage_blocks_without_stalling_the_stream() {
     // itself panicking.
     install_injector(Some(FaultInjector::new(0xA8).panic_probability(1.0)));
     let panicked_before = metrics::POOL_JOBS_PANICKED.get();
+    let retried_before = metrics::FAULT_RETRIES_SCHEDULED.get();
+    let final_before = metrics::FAULT_FAILURES_FINAL.get();
     let salvaged_before = metrics::STREAM_BLOCKS_SALVAGED.get();
     let pipeline = Pipeline::new(StreamConfig {
         block_items: 32,
@@ -65,5 +67,14 @@ fn injected_panics_salvage_blocks_without_stalling_the_stream() {
     );
     // Each salvaged block panicked twice (attempt + retry) before its
     // salvage pass; the windowed reduce adds its own.
-    assert!(metrics::POOL_JOBS_PANICKED.get() - panicked_before >= 26);
+    let panicked = metrics::POOL_JOBS_PANICKED.get() - panicked_before;
+    assert!(panicked >= 26);
+    // The fault contract: every panicked attempt was either rescheduled
+    // or became a final failure — nothing double-counted, nothing lost.
+    assert_eq!(
+        panicked,
+        (metrics::FAULT_RETRIES_SCHEDULED.get() - retried_before)
+            + (metrics::FAULT_FAILURES_FINAL.get() - final_before),
+        "jobs_panicked must reconcile with retries_scheduled + failures_final"
+    );
 }

@@ -499,9 +499,6 @@ pub mod well_known {
     pub static CODEGEN_WORKER_FRAMES: Counter = Counter::new("codegen.worker_frames");
     /// Dead native workers respawned (exactly-once crash recovery).
     pub static CODEGEN_WORKER_RESTARTS: Counter = Counter::new("codegen.worker_restarts");
-    /// Native frames abandoned to the in-process batch tier after a
-    /// respawned worker died again (the bottom of the crash ladder).
-    pub static CODEGEN_WORKER_FALLBACKS: Counter = Counter::new("codegen.worker_fallbacks");
     /// Warm workers retired: idle past the reap deadline, or holding a
     /// binary whose content-addressed cache key went stale.
     pub static CODEGEN_WORKER_REAPED: Counter = Counter::new("codegen.worker_reaped");
@@ -519,7 +516,7 @@ pub mod well_known {
 }
 
 /// Every well-known counter, for enumeration by reports.
-pub fn known_counters() -> [&'static Counter; 67] {
+pub fn known_counters() -> [&'static Counter; 66] {
     use well_known::*;
     [
         &POOL_JOBS_SUBMITTED,
@@ -582,7 +579,6 @@ pub fn known_counters() -> [&'static Counter; 67] {
         &CODEGEN_WORKER_SPAWNS,
         &CODEGEN_WORKER_FRAMES,
         &CODEGEN_WORKER_RESTARTS,
-        &CODEGEN_WORKER_FALLBACKS,
         &CODEGEN_WORKER_REAPED,
         &VM_PROCESSES_SPAWNED,
         &TRACE_SPANS_DROPPED,

@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use snap_trace::well_known as metrics;
 
-use crate::fault::{injector, panic_message, ExecError, FaultPolicy};
+use crate::fault::{attempt, injector, last_chance, ExecError, FaultPolicy};
 use crate::parallel::{default_workers, Strategy};
 use crate::pool::{on_pool_thread, Job, WaitGroup, WorkerPool};
 
@@ -334,50 +334,26 @@ pub fn try_map_slice_with<T: Send + Sync, R: Send>(
     let failed: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     let deadline_hit = AtomicBool::new(false);
 
-    // The per-item attempt loop, shared by the sequential and parallel
-    // paths. Returns the value on success; on budget exhaustion records
-    // the failure (counter + note + failed list) and returns None.
+    // One item through the shared attempt loop, on the sequential and
+    // parallel paths alike. Returns the value on success; on budget
+    // exhaustion records the failure (note + failed list) for the
+    // salvage pass and returns None.
     let attempt_item = |index: usize, item: &T| -> Option<R> {
-        let mut attempt = 0u32;
-        loop {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if let Some(inj) = injector {
-                    inj.inject(index as u64, attempt);
-                }
-                f(item)
-            }));
-            match result {
-                Ok(value) => return Some(value),
-                Err(payload) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    let message = panic_message(payload.as_ref());
-                    if attempt < policy.retries {
-                        metrics::FAULT_RETRIES_SCHEDULED.incr();
-                        // The retry span covers the backoff wait and links
-                        // back to the originating parallel call, so the
-                        // fault ladder's second rung is visible (and
-                        // attributable) in the Chrome trace.
-                        let _retry = snap_trace::span_linked_with(
-                            "fault.retry",
-                            "item",
-                            index as u64,
-                            origin,
-                        );
-                        std::thread::sleep(policy.backoff_for(attempt));
-                        attempt += 1;
-                    } else {
-                        metrics::FAULT_FAILURES_FINAL.incr();
-                        snap_trace::note(
-                            "exec.item_failed",
-                            format!("item {index} failed after {attempt} retr(ies): {message}"),
-                        );
-                        failed
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((index, message));
-                        return None;
-                    }
-                }
+        match attempt(index as u64, policy, injector, origin, || f(item)) {
+            Ok(value) => Some(value),
+            Err(message) => {
+                snap_trace::note(
+                    "exec.item_failed",
+                    format!(
+                        "item {index} failed after {} retr(ies): {message}",
+                        policy.retries
+                    ),
+                );
+                failed
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push((index, message));
+                None
             }
         }
     };
@@ -487,12 +463,9 @@ pub fn try_map_slice_with<T: Send + Sync, R: Send>(
             format!("re-running {} failed item(s) sequentially", failed.len()),
         );
         for (index, _) in &failed {
-            match catch_unwind(AssertUnwindSafe(|| f(&items[*index]))) {
+            match last_chance(|| f(&items[*index])) {
                 Ok(value) => out[*index] = Some(value),
-                Err(payload) => {
-                    metrics::POOL_JOBS_PANICKED.incr();
-                    metrics::FAULT_FAILURES_FINAL.incr();
-                    let message = panic_message(payload.as_ref());
+                Err(message) => {
                     snap_trace::note(
                         "exec.salvage_failed",
                         format!("item {index} failed without injection: {message}"),

@@ -21,6 +21,11 @@
 //!   ([`install_injector`]) or from `SNAP_FAULT_*` environment
 //!   variables, which is how the CI chaos job drives it.
 //!
+//! * [`attempt`] — the one panic → retry → backoff loop. The executor
+//!   runs each item through it and the streaming tier each block and
+//!   window; what happens to work that fails for good (the executor's
+//!   error, the stream's dropped item) stays the caller's salvage policy.
+//!
 //! Every panicked attempt increments `pool.jobs_panicked` and exactly
 //! one of `fault.retries_scheduled` / `fault.failures_final`, so a run
 //! report always reconciles:
@@ -28,6 +33,7 @@
 
 use std::any::Any;
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Duration;
@@ -149,6 +155,54 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// Run `body` under `policy`'s retry budget, injecting faults from
+/// `injector` (fetched once by the caller) per `(key, attempt)`.
+///
+/// A panicked attempt counts `pool.jobs_panicked`, then either counts
+/// `fault.retries_scheduled` and sleeps [`FaultPolicy::backoff_for`] in
+/// a `fault.retry` span linked to `origin` (the span that started the
+/// call, or 0), or — once the budget is spent — counts
+/// `fault.failures_final` and returns the last panic message.
+#[inline]
+pub fn attempt<R>(
+    key: u64,
+    policy: &FaultPolicy,
+    injector: Option<FaultInjector>,
+    origin: u64,
+    body: impl Fn() -> R,
+) -> Result<R, String> {
+    let mut tries = 0u32;
+    loop {
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(inj) = &injector {
+                inj.inject(key, tries);
+            }
+            body()
+        }));
+        let payload = match result {
+            Ok(value) => return Ok(value),
+            Err(payload) => payload,
+        };
+        snap_trace::well_known::POOL_JOBS_PANICKED.incr();
+        if tries >= policy.retries {
+            snap_trace::well_known::FAULT_FAILURES_FINAL.incr();
+            return Err(panic_message(payload.as_ref()));
+        }
+        snap_trace::well_known::FAULT_RETRIES_SCHEDULED.incr();
+        // The span covers the backoff wait, so a retry on a pool worker
+        // shows (and is attributed to its call) in the Chrome trace.
+        let _retry = snap_trace::span_linked_with("fault.retry", "item", key, origin);
+        std::thread::sleep(policy.backoff_for(tries));
+        tries += 1;
+    }
+}
+
+/// One injector-free attempt with no retries: the salvage passes' last
+/// chance. A panic is a final failure, counted as [`attempt`] counts it.
+pub fn last_chance<R>(body: impl Fn() -> R) -> Result<R, String> {
+    attempt(0, &FaultPolicy::default(), None, 0, body)
 }
 
 /// splitmix64 finalizer — mixes the injector seed with an item key and
@@ -355,6 +409,87 @@ mod tests {
         assert_eq!(panic_message(owned.as_ref()), "owned");
         let other: Box<dyn Any + Send> = Box::new(17u32);
         assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
+    }
+
+    #[test]
+    fn attempt_retries_then_reports_the_last_panic() {
+        use std::sync::atomic::AtomicU32;
+        let calls = AtomicU32::new(0);
+        let policy = FaultPolicy::with_retries(2).backoff(Duration::ZERO);
+        let flaky = || {
+            if calls.fetch_add(1, Ordering::SeqCst) < 2 {
+                panic!("flaky");
+            }
+            7
+        };
+        assert_eq!(attempt(0, &policy, None, 0, flaky), Ok(7));
+        assert_eq!(calls.load(Ordering::SeqCst), 3, "two panics, one success");
+        let always = attempt(0, &policy, None, 0, || -> u8 { panic!("always") });
+        assert_eq!(always, Err("always".to_string()));
+    }
+
+    #[test]
+    fn attempt_injects_per_key_and_attempt() {
+        // p = 1 fails every injected attempt; the budget is 1 + retries.
+        let inj = FaultInjector::new(5).panic_probability(1.0);
+        let policy = FaultPolicy::with_retries(1).backoff(Duration::ZERO);
+        let err = attempt(42, &policy, Some(inj), 0, || ()).unwrap_err();
+        assert_eq!(err, "injected fault: item 42 attempt 1");
+        assert_eq!(last_chance(|| 3), Ok(3), "salvage runs injector-free");
+    }
+
+    #[test]
+    fn attempt_returns_the_first_success_without_retrying() {
+        use std::sync::atomic::AtomicU32;
+        let calls = AtomicU32::new(0);
+        let policy = FaultPolicy::with_retries(3).backoff(Duration::ZERO);
+        let value = attempt(9, &policy, None, 0, || calls.fetch_add(1, Ordering::SeqCst));
+        assert_eq!(value, Ok(0));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a clean body runs once");
+    }
+
+    #[test]
+    fn attempt_with_no_retry_budget_fails_on_the_first_panic() {
+        use std::sync::atomic::AtomicU32;
+        let calls = AtomicU32::new(0);
+        let result = attempt(0, &FaultPolicy::default(), None, 0, || -> u8 {
+            calls.fetch_add(1, Ordering::SeqCst);
+            panic!("once")
+        });
+        assert_eq!(result, Err("once".to_string()));
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "retries = 0 means one try");
+    }
+
+    #[test]
+    fn attempt_reports_the_last_message_not_the_first() {
+        use std::sync::atomic::AtomicU32;
+        let calls = AtomicU32::new(0);
+        let policy = FaultPolicy::with_retries(2).backoff(Duration::ZERO);
+        let result = attempt(0, &policy, None, 0, || -> u8 {
+            let n = calls.fetch_add(1, Ordering::SeqCst);
+            panic!("try {n}")
+        });
+        assert_eq!(result, Err("try 2".to_string()));
+    }
+
+    #[test]
+    fn attempt_recovers_when_an_injected_fault_clears_on_retry() {
+        // Find a key whose first attempt is injected and whose retry is
+        // not: one retry must then be enough to succeed.
+        let inj = FaultInjector::new(11).panic_probability(0.5);
+        let key = (0..1024u64)
+            .find(|&k| inj.should_panic(k, 0) && !inj.should_panic(k, 1))
+            .expect("p = 0.5 yields such a key");
+        let no_retry = attempt(key, &FaultPolicy::default(), Some(inj), 0, || 5);
+        assert!(no_retry.is_err(), "attempt 0 is injected");
+        let policy = FaultPolicy::with_retries(1).backoff(Duration::ZERO);
+        assert_eq!(attempt(key, &policy, Some(inj), 0, || 5), Ok(5));
+    }
+
+    #[test]
+    fn last_chance_turns_a_panic_into_an_error() {
+        let result = last_chance(|| -> u8 { panic!("salvage failed") });
+        assert_eq!(result, Err("salvage failed".to_string()));
     }
 
     #[test]

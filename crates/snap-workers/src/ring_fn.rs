@@ -32,6 +32,10 @@
 //! the oracle. The `ring.batch_calls` / `ring.fastpath_calls` /
 //! `ring.bytecode_calls` / `ring.treewalk_calls` counters show which
 //! tier a run used.
+//!
+//! Every tier here runs in-process. The compiled-C workers of
+//! `snap_codegen::worker` are codegen's own differential and bench tool;
+//! this crate does not depend on `snap-codegen`.
 
 use std::fmt;
 use std::ops::Range;
@@ -41,7 +45,6 @@ use std::sync::Arc;
 use snap_ast::bytecode::PairProgram;
 use snap_ast::pure::{compile_cached, PureFn};
 use snap_ast::{EvalError, Ring, Value};
-use snap_codegen::worker::{native_pool, native_program_for, NativeProgram};
 
 use crate::executor::{columnar_chunk_size, try_map_slice_with, ExecMode};
 use crate::fault::{ExecError, FaultPolicy};
@@ -79,33 +82,6 @@ pub enum ColumnarPolicy {
 /// size inputs relative to the threshold.
 pub const COLUMNAR_MIN_ITEMS: usize = 16;
 
-/// Whether [`ring_map`] may route large columnar chunks through a warm
-/// compiled-C worker (`snap_codegen::worker`) instead of the in-process
-/// `eval_batch`. Only rings explicitly registered with
-/// [`snap_codegen::worker::register_native_map`] are eligible, so `Auto`
-/// is a no-op until someone compiles the ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NativePolicy {
-    /// Route chunks of ≥ [`NATIVE_MIN_ITEMS`] elements through the
-    /// persistent native worker when the ring has a compiled program
-    /// and the columnar tier produced flat `f64` chunks. A worker
-    /// failure falls back to `eval_batch` for that chunk
-    /// (`codegen.worker_fallbacks`) — results are bit-identical either
-    /// way.
-    #[default]
-    Auto,
-    /// Never leave the process — the ablation baseline, and the knob
-    /// the differential tests flip to prove output equivalence.
-    Disabled,
-}
-
-/// Below this many elements a frame's fixed cost (two pipe round-trips
-/// plus OpenMP fork/join in the worker) outweighs `eval_batch`'s
-/// ~nanoseconds-per-element lane loop, so smaller chunks stay
-/// in-process. Public so tests and benches can size inputs relative to
-/// the threshold.
-pub const NATIVE_MIN_ITEMS: usize = 1024;
-
 /// Options for [`ring_map`].
 #[derive(Debug, Clone, Copy)]
 pub struct RingMapOptions {
@@ -127,9 +103,6 @@ pub struct RingMapOptions {
     pub policy: FaultPolicy,
     /// Columnar batch tier: on by default, off for ablation.
     pub columnar: ColumnarPolicy,
-    /// Persistent native-worker tier: on by default (but inert until a
-    /// ring is registered), off for ablation and differential tests.
-    pub native: NativePolicy,
 }
 
 impl Default for RingMapOptions {
@@ -142,7 +115,6 @@ impl Default for RingMapOptions {
             latency: None,
             policy: FaultPolicy::default(),
             columnar: ColumnarPolicy::default(),
-            native: NativePolicy::default(),
         }
     }
 }
@@ -234,11 +206,7 @@ fn map_compiled(
 ) -> Result<Vec<Value>, RingMapError> {
     if columnar_allowed(options, items.len()) {
         if let Some(inputs) = f.is_batchable().then(|| columnar_f64(items)).flatten() {
-            let native = match options.native {
-                NativePolicy::Auto => native_program_for(f.ring()),
-                NativePolicy::Disabled => None,
-            };
-            return columnar_map(f, inputs, options, native.as_ref());
+            return columnar_map(f, inputs, options);
         }
         // A batch-sized map stayed on the per-element path: either the
         // ring is not batchable or the list is not all-numeric.
@@ -294,8 +262,8 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
 
 /// The columnar tiers' chunk runner, shared by [`columnar_map`] and
 /// [`pair_map`]: split `0..len` into coarse chunks
-/// ([`columnar_chunk_size`], at least `min_chunk` long) and run `body`
-/// once per chunk on the pool, returning the outputs in chunk order.
+/// ([`columnar_chunk_size`]) and run `body` once per chunk on the pool,
+/// returning the outputs in chunk order.
 ///
 /// Chunks are deliberately coarse: columnar work is so cheap per element
 /// that fine-grained claiming is all overhead. The fault policy applies
@@ -305,11 +273,10 @@ fn columnar_f64(items: &[Value]) -> Option<Vec<f64>> {
 /// per-element path.
 fn run_chunks<R: Send>(
     len: usize,
-    min_chunk: usize,
     options: &RingMapOptions,
     body: impl Fn(Range<usize>) -> R + Send + Sync,
 ) -> Result<Vec<R>, RingMapError> {
-    let chunk = columnar_chunk_size(len, options.workers).max(min_chunk);
+    let chunk = columnar_chunk_size(len, options.workers);
     let chunks: Vec<Range<usize>> = (0..len)
         .step_by(chunk)
         .map(|start| start..(start + chunk).min(len))
@@ -334,42 +301,14 @@ fn run_chunks<R: Send>(
 /// sub-slice, and results are boxed back to `Value`s only at the single
 /// output seam below. Isolation needs no handling here: numbers are
 /// plain copies either way.
-///
-/// When `native` is set (the ring has a registered compiled program and
-/// [`NativePolicy::Auto`] is in force), chunks are sized up to at least
-/// [`NATIVE_MIN_ITEMS`] and each big-enough chunk becomes one binary
-/// frame to the warm worker; undersized tails and worker failures run
-/// the same `eval_batch` lane loop, so the output is identical
-/// regardless of which side of the pipe computed it.
 fn columnar_map(
     f: &PureFn,
     inputs: Vec<f64>,
     options: &RingMapOptions,
-    native: Option<&NativeProgram>,
 ) -> Result<Vec<Value>, RingMapError> {
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
-    // With a native program, coarsen so a typical chunk clears the frame
-    // threshold instead of splitting one native-worthy list into
-    // all-tail pieces.
-    let min_chunk = if native.is_some() {
-        NATIVE_MIN_ITEMS
-    } else {
-        1
-    };
-    let outputs = run_chunks(len, min_chunk, options, |range| {
-        if let Some(program) = native {
-            if range.len() >= NATIVE_MIN_ITEMS {
-                match native_pool().map_frame(program, &inputs[range.clone()]) {
-                    Ok(out) => return out,
-                    Err(_) => {
-                        // Worker died twice (or never came up):
-                        // salvage the chunk in-process.
-                        snap_trace::well_known::CODEGEN_WORKER_FALLBACKS.incr();
-                    }
-                }
-            }
-        }
+    let outputs = run_chunks(len, options, |range| {
         let mut out = Vec::with_capacity(range.len());
         let batched = f.eval_batch(&inputs[range], &mut out);
         debug_assert!(batched, "columnar_map requires a batchable ring");
@@ -410,7 +349,7 @@ fn pair_map(
     };
     // A statistic only, read after every chunk has joined: Relaxed.
     let unbatched = AtomicBool::new(false);
-    let chunks = run_chunks(len, 1, options, |range| {
+    let chunks = run_chunks(len, options, |range| {
         let items = &items[range];
         match columnar_f64(items) {
             Some(flat) => {

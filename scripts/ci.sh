@@ -12,11 +12,28 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> layering: snap-workers must not link snap-codegen"
+# Capture first: piping straight into `grep -q` under pipefail can turn
+# cargo's SIGPIPE into a false pass.
+workers_deps=$(cargo tree --offline --locked -p snap-workers -e normal --prefix none)
+if grep -q '^snap-codegen ' <<<"$workers_deps"; then
+  echo "snap-workers depends on snap-codegen: the worker pool must not link the C toolchain harness" >&2
+  exit 1
+fi
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+echo "==> AddressSanitizer: the unsafe in the pool, executor and stream tier"
+if cargo +nightly --version >/dev/null 2>&1; then
+  RUSTFLAGS=-Zsanitizer=address cargo +nightly test --offline \
+    -p snap-workers -p snap-parallel --lib --tests --target x86_64-unknown-linux-gnu
+else
+  echo "SKIPPED AddressSanitizer: no nightly toolchain installed (rustup toolchain install nightly)"
+fi
 
 echo "==> perfbench: build + test the end-to-end benchmark (its own workspace)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
@@ -108,7 +125,6 @@ cargo test --release -p snap-codegen --test codegen_diff -- --nocapture
 echo "==> codegen: persistent-worker differential + chaos (frames, crash ladder, staleness)"
 cargo test --release -p snap-codegen --test native_worker_diff -- --nocapture
 cargo test --release -p snap-codegen --test native_worker_chaos -- --nocapture
-cargo test --release -p snap-workers --test native_ring_map -- --nocapture
 
 echo "==> codegen_check: compile + run + tier equivalence on every scenario"
 mkdir -p target/ci/codegen

@@ -39,7 +39,7 @@ fn harness() -> Option<Harness> {
 
 /// A worker that performs the handshake, then exits before answering
 /// any frame — every frame against it fails, driving the ladder to the
-/// respawn and then to the caller's fallback.
+/// respawn and then to an error returned to the caller.
 const CRASH_ALWAYS_C: &str = r#"#include <stdio.h>
 #include <stdlib.h>
 int main(int argc, char *argv[]) {

@@ -33,45 +33,45 @@ use std::sync::Arc;
 use snap_ast::pure::compile_cached;
 use snap_ast::{BinOp, EvalError, Expr, Ring, RingBody, RingExprBody, Value};
 use snap_workers::{
-    as_map_pair, ring_map_faulted, ring_map_pairs_faulted, ring_reduce_groups_faulted, ExecError,
-    FaultPolicy, RingMapError, RingMapOptions,
+    as_map_pair, call_group, call_item, ring_map_faulted, ring_map_pairs_faulted,
+    ring_reduce_groups_faulted, ExecError, FaultPolicy, Isolation, RingMapError, RingMapOptions,
 };
 
 use crate::shuffle::group_by;
 
-/// Record one block-level degradation to sequential execution.
-fn record_degraded(block: &'static str, err: &ExecError) {
-    snap_trace::well_known::FAULT_DEGRADED_RUNS.incr();
-    snap_trace::note(
-        "blocks.degraded",
-        format!("{block} degraded to sequential: {err}"),
-    );
+/// The fault-degradation rung for one phase: a missed deadline
+/// propagates, any other execution-layer failure is recorded (under
+/// `fault.degraded_runs` and as a trace note) and the phase re-runs as
+/// `sequential` — injector-free, on the calling thread, with the same
+/// structured clone as the pooled Copy isolation.
+fn degrade<T>(
+    phase: &'static str,
+    result: Result<T, RingMapError>,
+    sequential: impl FnOnce() -> Result<T, EvalError>,
+) -> Result<T, EvalError> {
+    match result {
+        Ok(out) => Ok(out),
+        Err(RingMapError::Eval(e)) => Err(e),
+        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
+            Err(EvalError::Other(e.to_string()))
+        }
+        Err(RingMapError::Exec(e)) => {
+            snap_trace::well_known::FAULT_DEGRADED_RUNS.incr();
+            snap_trace::note(
+                "blocks.degraded",
+                format!("{phase} degraded to sequential: {e}"),
+            );
+            sequential()
+        }
+    }
 }
 
-/// Injector-free sequential map — the degraded path. Same structured
-/// clone semantics as the pooled Copy isolation.
-fn sequential_ring_map(ring: Arc<Ring>, items: &[Value]) -> Result<Vec<Value>, EvalError> {
-    let f = compile_cached(&ring)?;
+/// Injector-free sequential map — the degraded path.
+fn sequential_ring_map(ring: &Arc<Ring>, items: &[Value]) -> Result<Vec<Value>, EvalError> {
+    let f = compile_cached(ring)?;
     items
         .iter()
-        .map(|item| f.call1(item.deep_copy()).map(|v| v.deep_copy()))
-        .collect()
-}
-
-/// Injector-free sequential reduce over shuffled groups — the degraded
-/// path of the reduce phase.
-fn sequential_reduce_groups(
-    ring: Arc<Ring>,
-    groups: &[(Value, Vec<Value>)],
-) -> Result<Vec<Value>, EvalError> {
-    let f = compile_cached(&ring)?;
-    groups
-        .iter()
-        .map(|(key, values)| {
-            let arg = Value::list(values.iter().map(Value::deep_copy).collect());
-            f.call1(arg)
-                .map(|reduced| Value::list(vec![key.clone(), reduced.deep_copy()]))
-        })
+        .map(|item| call_item(&f, item, Isolation::Copy))
         .collect()
 }
 
@@ -120,17 +120,11 @@ pub fn parallel_map_with_options(
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("parallel_map", "items" => items.len());
-    match ring_map_faulted(ring.clone(), &items, options) {
-        Ok(out) => Ok(out),
-        Err(RingMapError::Eval(e)) => Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("parallel_map", &e);
-            sequential_ring_map(ring, &items)
-        }
-    }
+    degrade(
+        "parallel_map",
+        ring_map_faulted(ring.clone(), &items, options),
+        || sequential_ring_map(&ring, &items),
+    )
 }
 
 /// `mapReduce <mapper> <reducer> over <list>` (paper §3.4): parallel map
@@ -241,33 +235,29 @@ pub fn map_reduce_with_options(
     options: RingMapOptions,
 ) -> Result<Vec<Value>, EvalError> {
     let _span = snap_trace::span!("map_reduce", "items" => items.len());
-    let pairs = match ring_map_pairs_faulted(mapper.clone(), &items, options) {
-        Ok(pairs) => pairs,
-        Err(RingMapError::Eval(e)) => return Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            return Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("map_reduce (map phase)", &e);
-            sequential_ring_map(mapper, &items)?
+    let pairs = degrade(
+        "map_reduce (map phase)",
+        ring_map_pairs_faulted(mapper.clone(), &items, options),
+        || {
+            sequential_ring_map(&mapper, &items)?
                 .into_iter()
                 .map(as_map_pair)
-                .collect::<Result<Vec<(Value, Value)>, EvalError>>()?
-        }
-    };
+                .collect()
+        },
+    )?;
     let fold = associative_fold_op(&reducer);
     let groups = group_by(&pairs, fold, options.workers, options.exec);
-    match ring_reduce_groups_faulted(reducer.clone(), &groups, options) {
-        Ok(out) => Ok(out),
-        Err(RingMapError::Eval(e)) => Err(e),
-        Err(RingMapError::Exec(e @ ExecError::DeadlineExceeded { .. })) => {
-            Err(EvalError::Other(e.to_string()))
-        }
-        Err(RingMapError::Exec(e)) => {
-            record_degraded("map_reduce (reduce phase)", &e);
-            sequential_reduce_groups(reducer, &groups)
-        }
-    }
+    degrade(
+        "map_reduce (reduce phase)",
+        ring_reduce_groups_faulted(reducer.clone(), &groups, options),
+        || {
+            let f = compile_cached(&reducer)?;
+            groups
+                .iter()
+                .map(|(key, values)| call_group(&f, key, values, Isolation::Copy))
+                .collect()
+        },
+    )
 }
 
 /// `parallelForEach` over plain Rust data: run `f` once per item with

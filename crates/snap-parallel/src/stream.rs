@@ -21,9 +21,11 @@
 //!   travels, empty, to keep the sequence dense), so ordering reduces
 //!   to one sink-side reorder buffer keyed by sequence number.
 //!   [`Emitter::Unordered`] skips the buffer and emits on arrival.
-//! * **Fast tiers reused.** An all-numeric source block travels as a
-//!   flat `f64` columnar block; a batchable map stage runs one
-//!   `eval_batch` per block with no per-element dispatch. Windowed
+//! * **Fast tiers reused.** Blocks are the ring kernel's
+//!   [`Chunk`]s: an all-numeric source block travels as a flat `f64`
+//!   column, and a map stage hands each block to
+//!   [`snap_workers::map_chunk`], the batch blocks' own tier choice (a
+//!   column through a batchable ring is one 64-lane batch call). Windowed
 //!   reduce-by-key runs each window through the batch `mapReduce`
 //!   shuffle ([`crate::group_by`], folding for associative reducers),
 //!   exactly mirroring its semantics.
@@ -42,7 +44,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -51,7 +53,10 @@ use snap_ast::{BinOp, EvalError, Ring, Value};
 use snap_trace::well_known as metrics;
 use snap_workers::channel::{bounded, ChannelMonitor, Receiver, Sender};
 use snap_workers::fault::{attempt, injector, last_chance};
-use snap_workers::{as_map_pair, global_pool, ExecMode, FaultPolicy};
+use snap_workers::{
+    as_map_pair, call_group, call_item, default_workers, global_pool, map_chunk, Chunk, ExecMode,
+    FaultPolicy, Isolation, WaitGroup,
+};
 
 use crate::blocks::associative_fold_op;
 use crate::shuffle::group_by;
@@ -156,33 +161,10 @@ pub struct Pipeline {
 // Blocks and credits
 // ---------------------------------------------------------------------
 
-/// The payload of one block: boxed values, or a flat `f64` lane for
-/// all-numeric blocks (the columnar fast path).
-enum BlockData {
-    Boxed(Vec<Value>),
-    Columnar(Vec<f64>),
-}
-
-impl BlockData {
-    fn len(&self) -> usize {
-        match self {
-            BlockData::Boxed(v) => v.len(),
-            BlockData::Columnar(v) => v.len(),
-        }
-    }
-
-    fn into_values(self) -> Vec<Value> {
-        match self {
-            BlockData::Boxed(v) => v,
-            BlockData::Columnar(v) => v.into_iter().map(Value::Number).collect(),
-        }
-    }
-}
-
 struct Block {
     seq: u64,
     born: Instant,
-    data: BlockData,
+    data: Chunk,
     /// Held while a source-created block is in flight; dropping it
     /// (absorbing the block into a window, emitting at the sink)
     /// returns the credit to the source.
@@ -260,57 +242,26 @@ impl Drop for CreditToken {
     }
 }
 
-/// Counts jobs that have fully returned, so `run_each` never unwinds
-/// its stack frame (which the jobs borrow) while a job is live. The
-/// guard arrives on drop, which covers jobs the pool refused to run.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
+/// Stage jobs of every pipeline now running on the global pool.
+static LIVE_STREAM_JOBS: AtomicUsize = AtomicUsize::new(0);
+
+/// One run's share of [`LIVE_STREAM_JOBS`], returned on drop.
+struct LiveJobs {
+    jobs: usize,
+    /// Every running pipeline's jobs, this run's included.
+    total: usize,
 }
 
-impl Latch {
-    fn new(count: usize) -> Arc<Latch> {
-        Arc::new(Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
-        })
-    }
-
-    fn guard(self: &Arc<Latch>) -> LatchGuard {
-        LatchGuard {
-            latch: Arc::clone(self),
-        }
-    }
-
-    fn wait(&self) {
-        let mut remaining = self
-            .remaining
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        while *remaining > 0 {
-            remaining = self
-                .done
-                .wait(remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+impl LiveJobs {
+    fn claim(jobs: usize) -> LiveJobs {
+        let total = LIVE_STREAM_JOBS.fetch_add(jobs, Ordering::SeqCst) + jobs;
+        LiveJobs { jobs, total }
     }
 }
 
-struct LatchGuard {
-    latch: Arc<Latch>,
-}
-
-impl Drop for LatchGuard {
+impl Drop for LiveJobs {
     fn drop(&mut self) {
-        let mut remaining = self
-            .latch
-            .remaining
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *remaining -= 1;
-        if *remaining == 0 {
-            self.latch.done.notify_all();
-        }
+        LIVE_STREAM_JOBS.fetch_sub(self.jobs, Ordering::SeqCst);
     }
 }
 
@@ -326,6 +277,29 @@ struct RunCounters {
     windows: AtomicU64,
     blocks_salvaged: AtomicU64,
     items_dropped: AtomicU64,
+}
+
+impl RunCounters {
+    fn stats(&self, queue_capacity: usize, peaks: Vec<usize>, sequential: bool) -> StreamStats {
+        let get = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        StreamStats {
+            items_in: get(&self.items_in),
+            items_out: get(&self.items_out),
+            blocks: get(&self.blocks),
+            windows: get(&self.windows),
+            blocks_salvaged: get(&self.blocks_salvaged),
+            items_dropped: get(&self.items_dropped),
+            queue_capacity,
+            peak_queue_depths: peaks,
+            sequential,
+        }
+    }
+}
+
+/// Count `n` on a global stream counter and on the run's own.
+fn count(global: &snap_trace::Counter, run: &AtomicU64, n: u64) {
+    global.add(n);
+    run.fetch_add(n, Ordering::Relaxed);
 }
 
 struct Shared {
@@ -365,6 +339,49 @@ impl Shared {
 // Stage execution
 // ---------------------------------------------------------------------
 
+/// A stage's executor: a farm worker's, or the reduce node's.
+enum Node<'a> {
+    Farm(FarmExec<'a>),
+    Reduce(ReduceExec<'a>),
+}
+
+impl<'a> Node<'a> {
+    fn new(
+        op: &'a StageOp,
+        policy: FaultPolicy,
+        origin: u64,
+        counters: &'a RunCounters,
+    ) -> Result<Self, EvalError> {
+        Ok(match op {
+            StageOp::Map(ring) | StageOp::Filter(ring) | StageOp::FlatMap(ring) => {
+                Node::Farm(FarmExec {
+                    op,
+                    f: compile_cached(ring)?,
+                    policy,
+                    origin,
+                    counters,
+                })
+            }
+            StageOp::ReduceByKey {
+                reducer,
+                window_items,
+            } => Node::Reduce(ReduceExec {
+                f: compile_cached(reducer)?,
+                fold: associative_fold_op(reducer),
+                window_items: (*window_items).max(1),
+                policy,
+                origin,
+                counters,
+                pending: Vec::new(),
+                origins: VecDeque::new(),
+                next_in_seq: 0,
+                reorder: BTreeMap::new(),
+                out_seq: 0,
+            }),
+        })
+    }
+}
+
 /// A farm stage's per-worker executor: the compiled ring plus the
 /// fault-guarded block transform. Stateless across blocks, so every
 /// worker of a farm holds its own.
@@ -377,188 +394,94 @@ struct FarmExec<'a> {
     counters: &'a RunCounters,
 }
 
-impl<'a> FarmExec<'a> {
-    fn new(
-        op: &'a StageOp,
-        policy: FaultPolicy,
-        origin: u64,
-        counters: &'a RunCounters,
-    ) -> Result<Self, EvalError> {
-        let ring = match op {
-            StageOp::Map(r) | StageOp::Filter(r) | StageOp::FlatMap(r) => r,
-            StageOp::ReduceByKey { .. } => unreachable!("reduce stages use ReduceExec"),
-        };
-        Ok(FarmExec {
-            op,
-            f: compile_cached(ring)?,
-            policy,
-            origin,
-            counters,
-        })
-    }
-
+impl FarmExec<'_> {
     /// Transform one block, preserving its sequence number and credit.
     /// Panics retry per the policy, then degrade to per-item salvage.
     fn feed(&self, block: Block) -> Result<Block, EvalError> {
-        let Block {
-            seq,
-            born,
-            data,
-            credit,
-        } = block;
-        let out = match attempt(seq, &self.policy, injector(), self.origin, || {
-            self.transform(&data)
+        let data = match attempt(block.seq, &self.policy, injector(), self.origin, || {
+            self.transform(&block.data)
         }) {
             Ok(out) => out?,
-            Err(_) => self.salvage(&data)?,
+            Err(_) => self.salvage(&block.data)?,
         };
-        Ok(Block {
-            seq,
-            born,
-            data: out,
-            credit,
-        })
+        Ok(Block { data, ..block })
     }
 
-    /// The whole-block transform. Columnar blocks stay columnar through
-    /// batchable maps and filters; everything else goes per item.
-    fn transform(&self, data: &BlockData) -> Result<BlockData, EvalError> {
+    /// The whole-block transform. A map stage is the ring kernel's
+    /// [`map_chunk`]; a filter keeps a column a column; everything else
+    /// goes per item.
+    fn transform(&self, data: &Chunk) -> Result<Chunk, EvalError> {
         match (self.op, data) {
-            (StageOp::Map(_), BlockData::Columnar(xs)) if self.f.is_batchable() => {
-                metrics::PAR_COLUMNAR_CHUNKS.incr();
-                let mut out = Vec::with_capacity(xs.len());
-                let batched = self.f.eval_batch(xs, &mut out);
-                debug_assert!(batched, "is_batchable implies eval_batch succeeds");
-                Ok(BlockData::Columnar(out))
-            }
-            (StageOp::Map(_), BlockData::Columnar(xs)) => {
-                let mut out = Vec::with_capacity(xs.len());
-                for &x in xs {
-                    out.push(self.f.call1(Value::Number(x))?.deep_copy());
-                }
-                Ok(BlockData::Boxed(out))
-            }
-            (StageOp::Map(_), BlockData::Boxed(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    out.push(self.f.call1(item.deep_copy())?.deep_copy());
-                }
-                Ok(BlockData::Boxed(out))
-            }
-            (StageOp::Filter(_), BlockData::Columnar(xs)) => {
-                let mut out = Vec::with_capacity(xs.len());
-                for &x in xs {
-                    if self.f.call1(Value::Number(x))?.to_bool() {
-                        out.push(x);
+            (StageOp::Map(_), _) => map_chunk(&self.f, data, Isolation::Copy),
+            (StageOp::Filter(_), Chunk::Columnar(column)) => {
+                let mut kept = Vec::with_capacity(column.len());
+                for &x in column {
+                    if call_item(&self.f, &Value::Number(x), Isolation::Copy)?.to_bool() {
+                        kept.push(x);
                     }
                 }
-                Ok(BlockData::Columnar(out))
+                Ok(Chunk::Columnar(kept))
             }
-            (StageOp::Filter(_), BlockData::Boxed(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    if self.f.call1(item.deep_copy())?.to_bool() {
-                        out.push(item.deep_copy());
-                    }
-                }
-                Ok(BlockData::Boxed(out))
+            _ => {
+                let mut out = Vec::with_capacity(data.len());
+                data.try_for_each(|item| self.step(item, &mut out))?;
+                Ok(Chunk::Boxed(out))
             }
-            (StageOp::FlatMap(_), data) => {
-                let mut out = Vec::new();
-                match data {
-                    BlockData::Boxed(items) => {
-                        for item in items {
-                            splice(self.f.call1(item.deep_copy())?, &mut out);
-                        }
-                    }
-                    BlockData::Columnar(xs) => {
-                        for &x in xs {
-                            splice(self.f.call1(Value::Number(x))?, &mut out);
-                        }
-                    }
-                }
-                Ok(BlockData::Boxed(out))
-            }
-            (StageOp::ReduceByKey { .. }, _) => unreachable!("reduce stages use ReduceExec"),
         }
+    }
+
+    /// One item through the stage's ring, appending what it yields: the
+    /// mapped value, the item if the predicate holds, or the spliced
+    /// list.
+    fn step(&self, item: &Value, out: &mut Vec<Value>) -> Result<(), EvalError> {
+        let result = call_item(&self.f, item, Isolation::Copy)?;
+        match self.op {
+            StageOp::Map(_) => out.push(result),
+            StageOp::Filter(_) if result.to_bool() => out.push(item.deep_copy()),
+            StageOp::Filter(_) => {}
+            // The result is already a structured clone: splice its items
+            // as they are.
+            StageOp::FlatMap(_) => match result.as_list() {
+                Some(list) => list.with_items(|items| out.extend_from_slice(items)),
+                None => out.push(result),
+            },
+            StageOp::ReduceByKey { .. } => unreachable!("reduce stages use ReduceExec"),
+        }
+        Ok(())
     }
 
     /// The per-item degradation pass: injector-free, one catch per
     /// item. Items that still panic are dropped; the block survives.
-    fn salvage(&self, data: &BlockData) -> Result<BlockData, EvalError> {
-        metrics::STREAM_BLOCKS_SALVAGED.incr();
-        self.counters
-            .blocks_salvaged
-            .fetch_add(1, Ordering::Relaxed);
+    fn salvage(&self, data: &Chunk) -> Result<Chunk, EvalError> {
+        count(
+            &metrics::STREAM_BLOCKS_SALVAGED,
+            &self.counters.blocks_salvaged,
+            1,
+        );
         snap_trace::note(
             "stream.block_salvaged",
             format!("salvaging a {}-item block item-by-item", data.len()),
         );
         let mut out = Vec::with_capacity(data.len());
         let mut dropped = 0u64;
-        let mut one = |item: Value| {
-            let result = last_chance(|| -> Result<Vec<Value>, EvalError> {
-                match self.op {
-                    StageOp::Map(_) => Ok(vec![self.f.call1(item.deep_copy())?.deep_copy()]),
-                    StageOp::Filter(_) => Ok(if self.f.call1(item.deep_copy())?.to_bool() {
-                        vec![item.deep_copy()]
-                    } else {
-                        Vec::new()
-                    }),
-                    StageOp::FlatMap(_) => {
-                        let mut spliced = Vec::new();
-                        splice(self.f.call1(item.deep_copy())?, &mut spliced);
-                        Ok(spliced)
-                    }
-                    StageOp::ReduceByKey { .. } => unreachable!(),
-                }
-            });
-            match result {
-                Ok(Ok(values)) => {
-                    out.extend(values);
-                    Ok(())
-                }
-                Ok(Err(e)) => Err(e),
-                Err(_) => {
-                    dropped += 1;
-                    Ok(())
-                }
+        data.try_for_each(|item| {
+            match last_chance(|| {
+                let mut one = Vec::new();
+                self.step(item, &mut one).map(|()| one)
+            }) {
+                Ok(one) => out.extend(one?),
+                Err(_) => dropped += 1,
             }
-        };
-        match data {
-            BlockData::Boxed(items) => {
-                for item in items {
-                    one(item.clone())?;
-                }
-            }
-            BlockData::Columnar(xs) => {
-                for &x in xs {
-                    one(Value::Number(x))?;
-                }
-            }
-        }
+            Ok(())
+        })?;
         if dropped > 0 {
-            metrics::STREAM_ITEMS_DROPPED.add(dropped);
-            self.counters
-                .items_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
+            count(
+                &metrics::STREAM_ITEMS_DROPPED,
+                &self.counters.items_dropped,
+                dropped,
+            );
         }
-        Ok(BlockData::Boxed(out))
-    }
-}
-
-/// Appends a flat-map result: list results are spliced element-wise,
-/// anything else passes through as a single item.
-fn splice(result: Value, out: &mut Vec<Value>) {
-    match result.as_list() {
-        Some(list) => {
-            for i in 1..=list.len() {
-                if let Some(v) = list.item(i) {
-                    out.push(v.deep_copy());
-                }
-            }
-        }
-        None => out.push(result.deep_copy()),
+        Ok(Chunk::Boxed(out))
     }
 }
 
@@ -584,29 +507,7 @@ struct ReduceExec<'a> {
     out_seq: u64,
 }
 
-impl<'a> ReduceExec<'a> {
-    fn new(
-        reducer: &Arc<Ring>,
-        window_items: usize,
-        policy: FaultPolicy,
-        origin: u64,
-        counters: &'a RunCounters,
-    ) -> Result<Self, EvalError> {
-        Ok(ReduceExec {
-            f: compile_cached(reducer)?,
-            fold: associative_fold_op(reducer),
-            window_items: window_items.max(1),
-            policy,
-            origin,
-            counters,
-            pending: Vec::new(),
-            origins: VecDeque::new(),
-            next_in_seq: 0,
-            reorder: BTreeMap::new(),
-            out_seq: 0,
-        })
-    }
-
+impl ReduceExec<'_> {
     fn feed(&mut self, block: Block, credits: &Arc<Credits>) -> Result<Vec<Block>, EvalError> {
         self.reorder.insert(block.seq, block);
         let mut out = Vec::new();
@@ -674,8 +575,7 @@ impl<'a> ReduceExec<'a> {
             to_consume -= front.1;
             self.origins.pop_front();
         }
-        metrics::STREAM_WINDOWS.incr();
-        self.counters.windows.fetch_add(1, Ordering::Relaxed);
+        count(&metrics::STREAM_WINDOWS, &self.counters.windows, 1);
 
         let seq = self.out_seq;
         // Key window injections away from block keys so a seeded
@@ -690,28 +590,29 @@ impl<'a> ReduceExec<'a> {
             // dense).
             Err(_) => match last_chance(|| self.compute(&pairs)) {
                 Ok(items) => {
-                    metrics::STREAM_BLOCKS_SALVAGED.incr();
-                    self.counters
-                        .blocks_salvaged
-                        .fetch_add(1, Ordering::Relaxed);
+                    count(
+                        &metrics::STREAM_BLOCKS_SALVAGED,
+                        &self.counters.blocks_salvaged,
+                        1,
+                    );
                     items?
                 }
                 Err(_) => {
-                    metrics::STREAM_ITEMS_DROPPED.add(take as u64);
-                    self.counters
-                        .items_dropped
-                        .fetch_add(take as u64, Ordering::Relaxed);
+                    count(
+                        &metrics::STREAM_ITEMS_DROPPED,
+                        &self.counters.items_dropped,
+                        take as u64,
+                    );
                     Vec::new()
                 }
             },
         };
         self.out_seq += 1;
-        metrics::STREAM_BLOCKS.incr();
-        self.counters.blocks.fetch_add(1, Ordering::Relaxed);
+        count(&metrics::STREAM_BLOCKS, &self.counters.blocks, 1);
         Ok(Block {
             seq,
             born,
-            data: BlockData::Boxed(items),
+            data: Chunk::Boxed(items),
             credit: credits.try_acquire(),
         })
     }
@@ -719,14 +620,10 @@ impl<'a> ReduceExec<'a> {
     /// One window: the batch `mapReduce` shuffle on the calling thread
     /// (folding for associative reducers), then one reducer call per key.
     fn compute(&self, pairs: &[(Value, Value)]) -> Result<Vec<Value>, EvalError> {
-        let groups = group_by(pairs, self.fold, 1, ExecMode::Pooled);
-        let mut out = Vec::with_capacity(groups.len());
-        for (key, values) in groups {
-            let arg = Value::list(values.iter().map(Value::deep_copy).collect());
-            let reduced = self.f.call1(arg)?;
-            out.push(Value::list(vec![key, reduced.deep_copy()]));
-        }
-        Ok(out)
+        group_by(pairs, self.fold, 1, ExecMode::Pooled)
+            .iter()
+            .map(|(key, values)| call_group(&self.f, key, values, Isolation::Copy))
+            .collect()
     }
 }
 
@@ -829,11 +726,15 @@ impl Pipeline {
             .map(|op| self.farm_width(op, &config))
             .sum::<usize>();
         // Long-running stage jobs occupy workers for the whole stream:
-        // grow the pool so they cannot starve concurrent batch work,
-        // and degrade to the sequential pass when that is impossible
-        // (worker-count ceiling, nested call from a pool worker).
-        pool.ensure_workers(pool.workers() + total_jobs);
+        // size the pool for every running pipeline's jobs on top of the
+        // default width, so they cannot starve concurrent batch work and
+        // repeated runs spawn no threads. Degrade to the sequential pass
+        // when that is impossible (worker-count ceiling, nested call
+        // from a pool worker).
+        let live = LiveJobs::claim(total_jobs);
+        pool.ensure_workers(default_workers() + live.total);
         if pool.on_worker_thread() || pool.workers() < total_jobs + 1 {
+            drop(live);
             return self.run_sequential(source, &mut sink);
         }
 
@@ -893,16 +794,16 @@ impl Pipeline {
         let runner: &(dyn Fn(usize) + Sync) =
             &|idx| self.execute_job(idx, &roles, &shared, &config);
         // SAFETY: the 'static lifetime is a lie told only to the job
-        // queue. Every submitted job owns a LatchGuard that arrives on
-        // drop (normal return, panic, or the pool refusing the job),
-        // and `run_each` blocks on the latch before this frame — which
-        // `roles` and `shared` borrow — is torn down.
+        // queue. Every submitted job owns a wait-group token dropped
+        // when the job has fully returned (normal return, panic, or the
+        // pool refusing the job), and `run_each` waits on the group
+        // before this frame — which `roles` and `shared` borrow — is
+        // torn down.
         let runner_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(runner) };
-        let latch = Latch::new(total_jobs);
-        for idx in 0..total_jobs {
-            let guard = latch.guard();
+        let jobs_done = WaitGroup::default();
+        for (idx, token) in jobs_done.tokens(total_jobs).into_iter().enumerate() {
             let submitted = pool.execute(move || {
-                let _guard = guard;
+                let _token = token;
                 runner_static(idx);
             });
             if submitted.is_err() {
@@ -916,24 +817,14 @@ impl Pipeline {
         // --- The sink: drain, reorder if asked, emit. ---
         let mut expected_seq = 0u64;
         let mut reorder: BTreeMap<u64, Block> = BTreeMap::new();
-        let emit = |block: Block, sink: &mut dyn FnMut(Value)| {
-            let latency = block.born.elapsed().as_nanos() as u64;
-            metrics::STREAM_LATENCY_NS.record(latency);
-            for value in block.data.into_values() {
-                metrics::STREAM_ITEMS_OUT.incr();
-                shared.counters.items_out.fetch_add(1, Ordering::Relaxed);
-                sink(value);
-            }
-            // block.credit drops here: the block has left the pipeline.
-        };
         while let Some(block) = sink_rx.recv() {
             match config.emitter {
-                Emitter::Unordered => emit(block, &mut sink),
+                Emitter::Unordered => emit(block, &shared.counters, &mut sink),
                 Emitter::Ordered => {
                     reorder.insert(block.seq, block);
                     while let Some(block) = reorder.remove(&expected_seq) {
                         expected_seq += 1;
-                        emit(block, &mut sink);
+                        emit(block, &shared.counters, &mut sink);
                     }
                 }
             }
@@ -941,11 +832,11 @@ impl Pipeline {
         // End-of-stream. On a clean run the reorder buffer is already
         // empty (sequences are dense); after an abort it may hold
         // stragglers — emit them in order anyway, the error wins below.
-        for (_, block) in std::mem::take(&mut reorder) {
-            emit(block, &mut sink);
+        for block in reorder.into_values() {
+            emit(block, &shared.counters, &mut sink);
         }
         drop(sink_rx);
-        latch.wait();
+        jobs_done.wait();
 
         if let Some(err) = shared
             .error
@@ -955,18 +846,8 @@ impl Pipeline {
         {
             return Err(err);
         }
-        let counters = &shared.counters;
-        Ok(StreamStats {
-            items_in: counters.items_in.load(Ordering::Relaxed),
-            items_out: counters.items_out.load(Ordering::Relaxed),
-            blocks: counters.blocks.load(Ordering::Relaxed),
-            windows: counters.windows.load(Ordering::Relaxed),
-            blocks_salvaged: counters.blocks_salvaged.load(Ordering::Relaxed),
-            items_dropped: counters.items_dropped.load(Ordering::Relaxed),
-            queue_capacity: config.capacity,
-            peak_queue_depths: shared.monitors.iter().map(|m| m.peak_depth()).collect(),
-            sequential: false,
-        })
+        let peaks = shared.monitors.iter().map(|m| m.peak_depth()).collect();
+        Ok(shared.counters.stats(config.capacity, peaks, false))
     }
 
     /// Clamped, defaulted copy of the configuration.
@@ -1004,14 +885,14 @@ impl Pipeline {
             .take();
         let Some(role) = role else { return };
         let result = catch_unwind(AssertUnwindSafe(|| match role {
-            JobRole::Source { tx, items } => self.pump_source(tx, items, shared, config),
-            JobRole::Stage { stage, rx, tx } => match &self.stages[stage] {
-                StageOp::ReduceByKey {
-                    reducer,
-                    window_items,
-                } => self.run_reduce(reducer, *window_items, rx, tx, shared, config),
-                op => self.run_farm(op, rx, tx, shared, config),
-            },
+            JobRole::Source { tx, items } => pump_source(tx, items, shared, config.block_items),
+            JobRole::Stage { stage, rx, tx } => {
+                let op = &self.stages[stage];
+                match Node::new(op, config.policy, shared.origin, &shared.counters)? {
+                    Node::Farm(farm) => run_farm(&farm, rx, tx),
+                    Node::Reduce(reduce) => run_reduce(reduce, rx, tx, &shared.credits),
+                }
+            }
         }));
         match result {
             Ok(Ok(())) => {}
@@ -1027,269 +908,188 @@ impl Pipeline {
         }
     }
 
-    /// The source node: pull items, pack blocks (columnar when the
-    /// whole block is numeric), acquire a credit per block, send.
-    fn pump_source(
-        &self,
-        tx: Sender<Block>,
-        items: Box<dyn Iterator<Item = Value> + Send + '_>,
-        shared: &Shared,
-        config: &StreamConfig,
-    ) -> Result<(), EvalError> {
-        let mut buf: Vec<Value> = Vec::with_capacity(config.block_items);
-        let mut numeric = true;
-        let mut seq = 0u64;
-        let flush = |buf: &mut Vec<Value>, numeric: bool, seq: &mut u64| -> bool {
-            if buf.is_empty() {
-                return true;
-            }
-            let Some(credit) = shared.credits.acquire() else {
-                return false; // aborted
-            };
-            let data = if numeric {
-                BlockData::Columnar(buf.drain(..).map(|v| v.to_number()).collect())
-            } else {
-                BlockData::Boxed(std::mem::take(buf))
-            };
-            metrics::STREAM_BLOCKS.incr();
-            shared.counters.blocks.fetch_add(1, Ordering::Relaxed);
-            let block = Block {
-                seq: *seq,
-                born: Instant::now(),
-                data,
-                credit: Some(credit),
-            };
-            *seq += 1;
-            tx.send(block).is_ok()
-        };
-        for item in items {
-            if shared.aborted() {
-                return Ok(());
-            }
-            metrics::STREAM_ITEMS_IN.incr();
-            shared.counters.items_in.fetch_add(1, Ordering::Relaxed);
-            numeric &= matches!(item, Value::Number(_));
-            buf.push(item);
-            if buf.len() >= config.block_items {
-                if !flush(&mut buf, numeric, &mut seq) {
-                    return Ok(());
-                }
-                numeric = true;
-            }
-        }
-        flush(&mut buf, numeric, &mut seq);
-        Ok(()) // tx drops here → end-of-stream downstream
-    }
-
-    /// One farm worker: receive, transform (fault-guarded), send.
-    fn run_farm(
-        &self,
-        op: &StageOp,
-        rx: Receiver<Block>,
-        tx: Sender<Block>,
-        shared: &Shared,
-        config: &StreamConfig,
-    ) -> Result<(), EvalError> {
-        let exec = FarmExec::new(op, config.policy, shared.origin, &shared.counters)?;
-        while let Some(block) = rx.recv() {
-            let out = exec.feed(block)?;
-            if tx.send(out).is_err() {
-                return Ok(()); // poisoned: the abort error wins
-            }
-        }
-        Ok(())
-    }
-
-    /// The reduce node (always one worker): reorder by sequence,
-    /// window, group + reduce per window.
-    fn run_reduce(
-        &self,
-        reducer: &Arc<Ring>,
-        window_items: usize,
-        rx: Receiver<Block>,
-        tx: Sender<Block>,
-        shared: &Shared,
-        config: &StreamConfig,
-    ) -> Result<(), EvalError> {
-        let mut exec = ReduceExec::new(
-            reducer,
-            window_items,
-            config.policy,
-            shared.origin,
-            &shared.counters,
-        )?;
-        while let Some(block) = rx.recv() {
-            for out in exec.feed(block, &shared.credits)? {
-                if tx.send(out).is_err() {
-                    return Ok(());
-                }
-            }
-        }
-        if let Some(tail) = exec.finish(&shared.credits)? {
-            let _ = tx.send(tail);
-        }
-        Ok(())
-    }
-
     /// The degraded path: the same block boundaries, stage order, and
     /// window drains as the pooled run, executed in order on the
     /// calling thread — output is identical to an ordered pooled run.
     fn run_sequential(
         &self,
         source: impl Iterator<Item = Value>,
-        sink: &mut impl FnMut(Value),
+        sink: &mut dyn FnMut(Value),
     ) -> Result<StreamStats, EvalError> {
         let _span = snap_trace::span!("stream.run_sequential");
         let origin = snap_trace::current_span_id();
         let config = self.normalized_config();
         let counters = RunCounters::default();
         let credits = Credits::new(config.max_in_flight);
-        let mut farms: Vec<Option<FarmExec<'_>>> = Vec::new();
-        let mut reduces: Vec<Option<ReduceExec<'_>>> = Vec::new();
-        for op in &self.stages {
-            match op {
-                StageOp::ReduceByKey {
-                    reducer,
-                    window_items,
-                } => {
-                    farms.push(None);
-                    reduces.push(Some(ReduceExec::new(
-                        reducer,
-                        *window_items,
-                        config.policy,
-                        origin,
-                        &counters,
-                    )?));
-                }
-                op => {
-                    farms.push(Some(FarmExec::new(op, config.policy, origin, &counters)?));
-                    reduces.push(None);
-                }
-            }
-        }
-        let mut emit = |block: Block| {
-            metrics::STREAM_LATENCY_NS.record(block.born.elapsed().as_nanos() as u64);
-            for value in block.data.into_values() {
-                metrics::STREAM_ITEMS_OUT.incr();
-                counters.items_out.fetch_add(1, Ordering::Relaxed);
-                sink(value);
-            }
-        };
-
-        let mut buf: Vec<Value> = Vec::with_capacity(config.block_items);
-        let mut numeric = true;
-        let mut seq = 0u64;
-        for item in source {
-            metrics::STREAM_ITEMS_IN.incr();
-            counters.items_in.fetch_add(1, Ordering::Relaxed);
-            numeric &= matches!(item, Value::Number(_));
-            buf.push(item);
-            if buf.len() >= config.block_items {
-                let block = pack_block(&mut buf, numeric, &mut seq, &counters);
-                numeric = true;
-                push_through(
-                    &self.stages,
-                    &farms,
-                    &mut reduces,
-                    &credits,
-                    block,
-                    0,
-                    &mut emit,
-                )?;
-            }
-        }
-        if !buf.is_empty() {
-            let block = pack_block(&mut buf, numeric, &mut seq, &counters);
-            push_through(
-                &self.stages,
-                &farms,
-                &mut reduces,
-                &credits,
-                block,
-                0,
-                &mut emit,
-            )?;
-        }
+        let mut nodes = self
+            .stages
+            .iter()
+            .map(|op| Node::new(op, config.policy, origin, &counters))
+            .collect::<Result<Vec<_>, _>>()?;
+        pump(
+            source,
+            config.block_items,
+            &counters,
+            || false,
+            |seq, data| {
+                let block = Block {
+                    seq,
+                    born: Instant::now(),
+                    data,
+                    credit: None,
+                };
+                push_through(&mut nodes, &credits, block, 0, &counters, sink)?;
+                Ok(true)
+            },
+        )?;
         // Flush reduce windows front-to-back: a tail window flushed at
         // stage `i` still flows through stages `i+1..`.
-        for stage in 0..self.stages.len() {
-            let tail = match reduces[stage].as_mut() {
-                Some(reduce) => reduce.finish(&credits)?,
-                None => None,
+        for stage in 0..nodes.len() {
+            let tail = match &mut nodes[stage] {
+                Node::Reduce(reduce) => reduce.finish(&credits)?,
+                Node::Farm(_) => None,
             };
             if let Some(block) = tail {
-                push_through(
-                    &self.stages,
-                    &farms,
-                    &mut reduces,
-                    &credits,
-                    block,
-                    stage + 1,
-                    &mut emit,
-                )?;
+                push_through(&mut nodes, &credits, block, stage + 1, &counters, sink)?;
             }
         }
-        Ok(StreamStats {
-            items_in: counters.items_in.load(Ordering::Relaxed),
-            items_out: counters.items_out.load(Ordering::Relaxed),
-            blocks: counters.blocks.load(Ordering::Relaxed),
-            windows: counters.windows.load(Ordering::Relaxed),
-            blocks_salvaged: counters.blocks_salvaged.load(Ordering::Relaxed),
-            items_dropped: counters.items_dropped.load(Ordering::Relaxed),
-            queue_capacity: config.capacity,
-            peak_queue_depths: Vec::new(),
-            sequential: true,
-        })
+        Ok(counters.stats(config.capacity, Vec::new(), true))
     }
+}
+
+/// The source loop of both runs: count each item in, pack every
+/// `block_items` items (and the tail) into a [`Chunk`] — a column when
+/// all are numbers — counted as a block, and hand it to `send` with its
+/// sequence number. Stops early once `aborted`, or when `send` reports
+/// the pipeline gone.
+fn pump(
+    items: impl Iterator<Item = Value>,
+    block_items: usize,
+    counters: &RunCounters,
+    aborted: impl Fn() -> bool,
+    mut send: impl FnMut(u64, Chunk) -> Result<bool, EvalError>,
+) -> Result<(), EvalError> {
+    let mut buf = Vec::with_capacity(block_items);
+    let mut seq = 0u64;
+    let mut flush = |buf: &mut Vec<Value>| {
+        count(&metrics::STREAM_BLOCKS, &counters.blocks, 1);
+        seq += 1;
+        send(seq - 1, Chunk::pack(buf))
+    };
+    for item in items {
+        if aborted() {
+            return Ok(());
+        }
+        count(&metrics::STREAM_ITEMS_IN, &counters.items_in, 1);
+        buf.push(item);
+        if buf.len() >= block_items && !flush(&mut buf)? {
+            return Ok(());
+        }
+    }
+    if !buf.is_empty() {
+        flush(&mut buf)?;
+    }
+    Ok(())
+}
+
+/// The source node: [`pump`] with a credit acquired per block before
+/// it is sent.
+fn pump_source(
+    tx: Sender<Block>,
+    items: Box<dyn Iterator<Item = Value> + Send + '_>,
+    shared: &Shared,
+    block_items: usize,
+) -> Result<(), EvalError> {
+    pump(
+        items,
+        block_items,
+        &shared.counters,
+        || shared.aborted(),
+        |seq, data| {
+            let Some(credit) = shared.credits.acquire() else {
+                return Ok(false); // aborted
+            };
+            let block = Block {
+                seq,
+                born: Instant::now(),
+                data,
+                credit: Some(credit),
+            };
+            Ok(tx.send(block).is_ok())
+        },
+    )
+    // tx drops here → end-of-stream downstream
+}
+
+/// One farm worker: receive, transform (fault-guarded), send.
+fn run_farm(farm: &FarmExec<'_>, rx: Receiver<Block>, tx: Sender<Block>) -> Result<(), EvalError> {
+    while let Some(block) = rx.recv() {
+        if tx.send(farm.feed(block)?).is_err() {
+            return Ok(()); // poisoned: the abort error wins
+        }
+    }
+    Ok(())
+}
+
+/// The reduce node (always one worker): reorder by sequence, window,
+/// group + reduce per window.
+fn run_reduce(
+    mut reduce: ReduceExec<'_>,
+    rx: Receiver<Block>,
+    tx: Sender<Block>,
+    credits: &Arc<Credits>,
+) -> Result<(), EvalError> {
+    while let Some(block) = rx.recv() {
+        for out in reduce.feed(block, credits)? {
+            if tx.send(out).is_err() {
+                return Ok(());
+            }
+        }
+    }
+    if let Some(tail) = reduce.finish(credits)? {
+        let _ = tx.send(tail);
+    }
+    Ok(())
 }
 
 /// Route one block through stages `from_stage..` of the sequential
 /// pass, emitting whatever reaches the end.
-fn push_through<'a>(
-    stages: &[StageOp],
-    farms: &[Option<FarmExec<'a>>],
-    reduces: &mut [Option<ReduceExec<'a>>],
+fn push_through(
+    nodes: &mut [Node<'_>],
     credits: &Arc<Credits>,
     block: Block,
     from_stage: usize,
-    emit: &mut impl FnMut(Block),
+    counters: &RunCounters,
+    sink: &mut dyn FnMut(Value),
 ) -> Result<(), EvalError> {
     let mut wave = vec![block];
-    for stage in from_stage..stages.len() {
+    for node in &mut nodes[from_stage..] {
         let mut next = Vec::with_capacity(wave.len());
         for block in wave {
-            if let Some(farm) = &farms[stage] {
-                next.push(farm.feed(block)?);
-            } else if let Some(reduce) = reduces[stage].as_mut() {
-                next.extend(reduce.feed(block, credits)?);
+            match node {
+                Node::Farm(farm) => next.push(farm.feed(block)?),
+                Node::Reduce(reduce) => next.extend(reduce.feed(block, credits)?),
             }
         }
         wave = next;
     }
     for block in wave {
-        emit(block);
+        emit(block, counters, sink);
     }
     Ok(())
 }
 
-/// Pack the buffered items into a block (sequential path — no credit
-/// gate needed, nothing is concurrent).
-fn pack_block(buf: &mut Vec<Value>, numeric: bool, seq: &mut u64, counters: &RunCounters) -> Block {
-    let data = if numeric {
-        BlockData::Columnar(buf.drain(..).map(|v| v.to_number()).collect())
-    } else {
-        BlockData::Boxed(std::mem::take(buf))
-    };
-    metrics::STREAM_BLOCKS.incr();
-    counters.blocks.fetch_add(1, Ordering::Relaxed);
-    let block = Block {
-        seq: *seq,
-        born: Instant::now(),
-        data,
-        credit: None,
-    };
-    *seq += 1;
-    block
+/// Hand one block's items to the sink. Its credit drops here: the block
+/// has left the pipeline.
+fn emit(block: Block, counters: &RunCounters, sink: &mut dyn FnMut(Value)) {
+    metrics::STREAM_LATENCY_NS.record(block.born.elapsed().as_nanos() as u64);
+    let values = block.data.into_values();
+    count(
+        &metrics::STREAM_ITEMS_OUT,
+        &counters.items_out,
+        values.len() as u64,
+    );
+    values.into_iter().for_each(sink);
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use proptest::prelude::*;
 use snap_ast::builder::*;
 use snap_ast::{Ring, Value};
 use snap_parallel::{map_reduce, parallel_map, Pipeline, StreamConfig};
+use snap_workers::{ring_map, RingMapOptions};
 
 fn numeric_ring() -> Arc<Ring> {
     // Batchable numeric chain: exercises the columnar block path.
@@ -51,8 +52,110 @@ fn assert_numbers_bits_eq(a: &[Value], b: &[Value]) {
     }
 }
 
+fn number() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-1e3f64..1e3).prop_map(Value::Number),
+        (-1e3f64..1e3).prop_map(Value::Number),
+        Just(Value::Number(0.0)),
+        Just(Value::Number(-0.0)),
+        Just(Value::Number(f64::NAN)),
+        Just(Value::Number(f64::INFINITY)),
+        Just(Value::Number(f64::NEG_INFINITY)),
+    ]
+}
+
+/// Numbers, numeric text and a word.
+fn mixed_item() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        number(),
+        number(),
+        (-50i64..50).prop_map(|n| Value::text(format!(" {n} "))),
+        Just(Value::text("ab")),
+    ]
+}
+
+/// Block sizes on both sides of the 64-lane batch width and past it.
+fn block_items() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..8, 60usize..70, 120usize..136]
+}
+
+/// Not batchable: a map stage runs it per item, column or not.
+fn text_ring() -> Arc<Ring> {
+    Arc::new(Ring::reporter(join(vec![empty_slot(), text("!")])))
+}
+
+/// Drops the word: a boxed block of numbers and words leaves this
+/// stage as a boxed block of numbers only.
+fn not_a_word() -> Arc<Ring> {
+    Arc::new(Ring::predicate(ne(empty_slot(), text("ab"))))
+}
+
+/// `[x, x]`: flat-mapping turns every block boxed, all-number ones too.
+fn twice() -> Arc<Ring> {
+    Arc::new(Ring::reporter(make_list(vec![empty_slot(), empty_slot()])))
+}
+
+/// Run `items` through a filter or flat-map stage, then a map by `map`,
+/// as a pipeline and as `ring_map` with the filter or the splice done
+/// sequentially in between; both must agree element by element.
+fn check_stage_then_map(items: &[Value], filter: bool, map: Arc<Ring>, config: StreamConfig) {
+    let ring_map = |ring: Arc<Ring>, items: Vec<Value>| {
+        ring_map(ring, items, RingMapOptions::default()).unwrap()
+    };
+    let between: Vec<Value> = if filter {
+        let keep = ring_map(not_a_word(), items.to_vec());
+        items
+            .iter()
+            .zip(keep)
+            .filter(|(_, keep)| keep.to_bool())
+            .map(|(item, _)| item.clone())
+            .collect()
+    } else {
+        let mut spliced = Vec::new();
+        for result in ring_map(twice(), items.to_vec()) {
+            match result.as_list() {
+                Some(list) => list.with_items(|xs| spliced.extend_from_slice(xs)),
+                None => spliced.push(result),
+            }
+        }
+        spliced
+    };
+    let expected = ring_map(map.clone(), between);
+    let pipeline = Pipeline::new(config);
+    let pipeline = if filter {
+        pipeline.filter(not_a_word())
+    } else {
+        pipeline.flat_map(twice())
+    };
+    let streamed = pipeline.map(map).run(items.to_vec()).unwrap();
+    assert_numbers_bits_eq(&streamed, &expected);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn map_stages_match_ring_map_over_every_block_kind(
+        head in prop::collection::vec(number(), 0..200),
+        middle in prop::collection::vec(mixed_item(), 0..48),
+        tail in prop::collection::vec(number(), 0..200),
+        block_items in block_items(),
+        stage_workers in 1usize..5,
+    ) {
+        // All-number runs on both sides pack into columnar blocks; the
+        // mixed middle packs into boxed ones.
+        let items: Vec<Value> = head.into_iter().chain(middle).chain(tail).collect();
+        let config = StreamConfig {
+            block_items,
+            stage_workers,
+            ..Default::default()
+        };
+        for filter in [true, false] {
+            for map in [numeric_ring(), text_ring()] {
+                check_stage_then_map(&items, filter, map, config);
+            }
+        }
+    }
 
     #[test]
     fn streamed_numeric_map_equals_batch_bitwise(

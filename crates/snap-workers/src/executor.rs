@@ -10,9 +10,10 @@
 //! Two more scheduler changes over the seed live here:
 //!
 //! * **Chunked dynamic claiming** — workers grab blocks of
-//!   `max(1, len / (workers * 4))` indices per atomic `fetch_add` instead
-//!   of one, cutting contention on the claim counter by the chunk factor
-//!   while still leaving enough blocks (≈4 per worker) for load balance.
+//!   `max(1, len / (workers * 2))` indices ([`chunk_size`]) per atomic
+//!   `fetch_add` instead of one, cutting contention on the claim counter
+//!   by the chunk factor while still leaving ≈2 blocks per worker for
+//!   load balance.
 //! * **Disjoint gather** — each claimed index is written straight into
 //!   its own result slot. Index ownership is exclusive by construction
 //!   (chunks partition the range), so no mutex guards the output.
@@ -160,7 +161,7 @@ fn run_scoped_on_pool(pool: &WorkerPool, tasks: usize, body: &(dyn Fn(usize) + S
     // is wrapped in `catch_unwind` so no panic can unwind past the wait
     // — so no job can observe `body` after this frame is gone.
     let body_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(body) };
-    let wg = WaitGroup::new();
+    let wg = WaitGroup::default();
     let panicked = Arc::new(AtomicBool::new(false));
     let run_inline = |w: usize| {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| body_static(w))) {

@@ -45,9 +45,9 @@ pub use executor::{
 };
 pub use fault::{install_injector, panic_message, ExecError, FaultInjector, FaultPolicy};
 pub use parallel::{default_workers, map_slice, Parallel, Strategy};
-pub use pool::{PoolClosed, WorkerPool};
+pub use pool::{PoolClosed, WaitGroup, WaitToken, WorkerPool};
 pub use ring_fn::{
-    as_map_pair, ring_map, ring_map_faulted, ring_map_pairs, ring_map_pairs_faulted,
-    ring_reduce_groups, ring_reduce_groups_faulted, ColumnarPolicy, Isolation, RingMapError,
-    RingMapOptions, COLUMNAR_MIN_ITEMS,
+    as_map_pair, call_group, call_item, map_chunk, ring_map, ring_map_faulted, ring_map_pairs,
+    ring_map_pairs_faulted, ring_reduce_groups, ring_reduce_groups_faulted, Chunk, ColumnarPolicy,
+    Isolation, RingMapError, RingMapOptions, COLUMNAR_MIN_ITEMS,
 };

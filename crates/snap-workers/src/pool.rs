@@ -616,7 +616,7 @@ impl WorkerPool {
     /// exactly once.
     pub fn scatter_gather(&self, n: usize, job: impl Fn(usize) + Send + Sync + 'static) {
         let job = Arc::new(job);
-        let wg = WaitGroup::new();
+        let wg = WaitGroup::default();
         let batch: Vec<Job> = (0..n)
             .zip(wg.tokens(n))
             .map(|(i, token)| {
@@ -654,36 +654,30 @@ impl Drop for WorkerPool {
     }
 }
 
+#[derive(Default)]
 struct WaitGroupState {
     outstanding: Mutex<usize>,
     done: Condvar,
 }
 
-/// Counts outstanding jobs: each [`WaitGroup::token`] increments, each
-/// token drop decrements (drop runs even when the job unwinds, so a
-/// panicking job can never wedge the waiter).
-pub(crate) struct WaitGroup {
+/// Counts outstanding jobs: each token from [`WaitGroup::tokens`]
+/// increments, each token drop decrements (drop runs even when the job
+/// unwinds or the pool refuses it, so a panicking job can never wedge
+/// the waiter).
+#[derive(Default)]
+pub struct WaitGroup {
     state: Arc<WaitGroupState>,
 }
 
 /// One outstanding-job marker; dropping it signals completion.
-pub(crate) struct WaitToken {
+pub struct WaitToken {
     state: Arc<WaitGroupState>,
 }
 
 impl WaitGroup {
-    pub(crate) fn new() -> WaitGroup {
-        WaitGroup {
-            state: Arc::new(WaitGroupState {
-                outstanding: Mutex::new(0),
-                done: Condvar::new(),
-            }),
-        }
-    }
-
     /// Register `n` outstanding jobs under a single lock acquisition
     /// (batch submission creates one token per job).
-    pub(crate) fn tokens(&self, n: usize) -> Vec<WaitToken> {
+    pub fn tokens(&self, n: usize) -> Vec<WaitToken> {
         {
             let mut count = self
                 .state
@@ -710,7 +704,7 @@ impl WaitGroup {
     }
 
     /// Block until every token has been dropped.
-    pub(crate) fn wait(&self) {
+    pub fn wait(&self) {
         let mut count = self
             .state
             .outstanding
@@ -827,7 +821,7 @@ mod tests {
     #[test]
     fn panicking_job_does_not_kill_workers() {
         let pool = WorkerPool::new(2);
-        let wg = WaitGroup::new();
+        let wg = WaitGroup::default();
         let token = wg.tokens(1).pop().expect("one token");
         pool.execute(move || {
             let _token = token;

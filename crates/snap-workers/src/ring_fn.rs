@@ -33,6 +33,13 @@
 //! `ring.bytecode_calls` / `ring.treewalk_calls` counters show which
 //! tier a run used.
 //!
+//! Every ring application — here, in the blocks' degraded paths and in
+//! the stream stages — goes through one kernel: [`call_item`] (one item
+//! under structured clone), [`call_group`] (one reduce group) and
+//! [`map_chunk`] (one [`Chunk`], with the tier choice: a flat column
+//! through a batchable ring is one `eval_batch`, anything else one
+//! [`call_item`] per item).
+//!
 //! Every tier here runs in-process. The compiled-C workers of
 //! `snap_codegen::worker` are codegen's own differential and bench tool;
 //! this crate does not depend on `snap-codegen`.
@@ -212,28 +219,34 @@ fn map_compiled(
         // ring is not batchable or the list is not all-numeric.
         snap_trace::well_known::RING_BATCH_FALLBACKS.incr();
     }
-    let results = try_map_slice_with(
+    per_item(items, options, |item| {
+        if let Some(latency) = options.latency {
+            std::thread::sleep(latency);
+        }
+        call_item(f, item, options.isolation)
+    })
+}
+
+/// Run `call` once per element on the pool — the fault policy applies
+/// per element — and collect the results in order, or the first ring
+/// error.
+fn per_item<T: Send + Sync>(
+    items: &[T],
+    options: &RingMapOptions,
+    call: impl Fn(&T) -> Result<Value, EvalError> + Send + Sync,
+) -> Result<Vec<Value>, RingMapError> {
+    try_map_slice_with(
         items,
         options.workers,
         options.strategy,
         options.exec,
         &options.policy,
-        |item| {
-            if let Some(latency) = options.latency {
-                std::thread::sleep(latency);
-            }
-            f.call1(isolate(item, options.isolation))
-                .map(|v| match options.isolation {
-                    Isolation::Copy => v.deep_copy(),
-                    Isolation::Share => v,
-                })
-        },
+        call,
     )
-    .map_err(RingMapError::Exec)?;
-    results
-        .into_iter()
-        .collect::<Result<Vec<Value>, EvalError>>()
-        .map_err(RingMapError::Eval)
+    .map_err(RingMapError::Exec)?
+    .into_iter()
+    .collect::<Result<Vec<Value>, EvalError>>()
+    .map_err(RingMapError::Eval)
 }
 
 /// An item as it crosses into a worker: structured-cloned under
@@ -243,6 +256,119 @@ fn isolate(item: &Value, isolation: Isolation) -> Value {
         Isolation::Copy => item.deep_copy(),
         Isolation::Share => item.clone(),
     }
+}
+
+/// A worker's result as it crosses back: [`isolate`] for an owned value.
+fn export(result: Value, isolation: Isolation) -> Value {
+    match isolation {
+        Isolation::Copy => result.deep_copy(),
+        Isolation::Share => result,
+    }
+}
+
+/// The per-item ring call: the item crosses into the worker, the ring
+/// runs, the result crosses back — both crossings structured clones
+/// under [`Isolation::Copy`] (Listing 2's `postMessage` round trip).
+pub fn call_item(f: &PureFn, item: &Value, isolation: Isolation) -> Result<Value, EvalError> {
+    Ok(export(f.call1(isolate(item, isolation))?, isolation))
+}
+
+/// The per-group reduce call: a fresh list of the group's values in,
+/// `[key, reduced]` out.
+pub fn call_group(
+    f: &PureFn,
+    key: &Value,
+    values: &[Value],
+    isolation: Isolation,
+) -> Result<Value, EvalError> {
+    let arg = Value::list(values.iter().map(|v| isolate(v, isolation)).collect());
+    let reduced = export(f.call1(arg)?, isolation);
+    Ok(Value::list(vec![key.clone(), reduced]))
+}
+
+/// A run of items as the ring kernel carries it: boxed values, or one
+/// flat `f64` column when every item is a `Value::Number` (the columnar
+/// tier's form). Stream blocks travel as chunks.
+#[derive(Debug, PartialEq)]
+pub enum Chunk {
+    /// One boxed value per item.
+    Boxed(Vec<Value>),
+    /// Every item a number, unboxed.
+    Columnar(Vec<f64>),
+}
+
+impl Chunk {
+    /// Pack the items drained from `buf`: a column when every one is a
+    /// `Value::Number`, else the boxed values themselves.
+    pub fn pack(buf: &mut Vec<Value>) -> Chunk {
+        match columnar_f64(buf) {
+            Some(column) => {
+                buf.clear();
+                Chunk::Columnar(column)
+            }
+            None => Chunk::Boxed(std::mem::take(buf)),
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        match self {
+            Chunk::Boxed(items) => items.len(),
+            Chunk::Columnar(column) => column.len(),
+        }
+    }
+
+    /// `true` when the chunk holds no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The items as values — the boxing seam.
+    pub fn into_values(self) -> Vec<Value> {
+        match self {
+            Chunk::Boxed(items) => items,
+            Chunk::Columnar(column) => column.into_iter().map(Value::Number).collect(),
+        }
+    }
+
+    /// Run `each` over the items in order, stopping at the first error;
+    /// a column's numbers are boxed one at a time.
+    pub fn try_for_each(
+        &self,
+        mut each: impl FnMut(&Value) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        match self {
+            Chunk::Boxed(items) => items.iter().try_for_each(each),
+            Chunk::Columnar(column) => column.iter().try_for_each(|&x| each(&Value::Number(x))),
+        }
+    }
+}
+
+/// One chunk through a map ring, and the columnar tier choice: a column
+/// through a batchable ring is one `eval_batch` and stays a column;
+/// anything else is one [`call_item`] per item.
+pub fn map_chunk(f: &PureFn, chunk: &Chunk, isolation: Isolation) -> Result<Chunk, EvalError> {
+    if let Chunk::Columnar(column) = chunk {
+        if let Some(out) = eval_column(f, column) {
+            return Ok(Chunk::Columnar(out));
+        }
+    }
+    let mut out = Vec::with_capacity(chunk.len());
+    chunk.try_for_each(|item| {
+        out.push(call_item(f, item, isolation)?);
+        Ok(())
+    })?;
+    Ok(Chunk::Boxed(out))
+}
+
+/// One `eval_batch` over a column, counted as one columnar chunk;
+/// `None` when the ring is not batchable.
+fn eval_column(f: &PureFn, column: &[f64]) -> Option<Vec<f64>> {
+    let mut out = Vec::with_capacity(column.len());
+    f.eval_batch(column, &mut out).then(|| {
+        snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
+        out
+    })
 }
 
 /// The columnar detection scan: `Some(flat f64s)` when every element is
@@ -287,20 +413,17 @@ fn run_chunks<R: Send>(
         options.strategy,
         options.exec,
         &options.policy,
-        |range| {
-            snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
-            body(range.clone())
-        },
+        |range| body(range.clone()),
     )
     .map_err(RingMapError::Exec)
 }
 
 /// The columnar batch tier of [`ring_map_faulted`]: the list moves
 /// through the work-stealing pool as flat `f64` chunk descriptors
-/// ([`run_chunks`]), each task runs one [`PureFn::eval_batch`] over its
-/// sub-slice, and results are boxed back to `Value`s only at the single
-/// output seam below. Isolation needs no handling here: numbers are
-/// plain copies either way.
+/// ([`run_chunks`]), each task runs one `eval_batch` over its sub-slice
+/// (the kernel's column step), and results are boxed back to `Value`s
+/// only at the single output seam below. Isolation needs no handling
+/// here: numbers are plain copies either way.
 fn columnar_map(
     f: &PureFn,
     inputs: Vec<f64>,
@@ -309,10 +432,7 @@ fn columnar_map(
     let len = inputs.len();
     let _span = snap_trace::span!("columnar_map", len);
     let outputs = run_chunks(len, options, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        let batched = f.eval_batch(&inputs[range], &mut out);
-        debug_assert!(batched, "columnar_map requires a batchable ring");
-        out
+        eval_column(f, &inputs[range]).expect("columnar_map requires a batchable ring")
     })?;
     // The boxing seam: flat chunk outputs become Values exactly once,
     // in input order.
@@ -350,6 +470,7 @@ fn pair_map(
     // A statistic only, read after every chunk has joined: Relaxed.
     let unbatched = AtomicBool::new(false);
     let chunks = run_chunks(len, options, |range| {
+        snap_trace::well_known::PAR_COLUMNAR_CHUNKS.incr();
         let items = &items[range];
         match columnar_f64(items) {
             Some(flat) => {
@@ -454,46 +575,33 @@ pub fn ring_reduce_groups_faulted(
     let len = groups.len();
     let _span = snap_trace::span!("ring_reduce_groups", len);
     let f = compile_for_call(&ring, len)?;
-    let results = try_map_slice_with(
-        groups,
-        options.workers,
-        options.strategy,
-        options.exec,
-        &options.policy,
-        |(key, values)| {
-            let arg = match options.isolation {
-                Isolation::Copy => Value::list(values.iter().map(Value::deep_copy).collect()),
-                Isolation::Share => Value::list(values.clone()),
-            };
-            f.call1(arg).map(|reduced| {
-                Value::list(vec![
-                    key.clone(),
-                    match options.isolation {
-                        Isolation::Copy => reduced.deep_copy(),
-                        Isolation::Share => reduced,
-                    },
-                ])
-            })
-        },
-    )
-    .map_err(RingMapError::Exec)?;
-    results
-        .into_iter()
-        .collect::<Result<Vec<Value>, EvalError>>()
-        .map_err(RingMapError::Eval)
+    per_item(groups, &options, |(key, values)| {
+        call_group(&f, key, values, options.isolation)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use snap_ast::builder::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     fn times_ten() -> Arc<Ring> {
         Arc::new(Ring::reporter(mul(empty_slot(), num(10.0))))
     }
 
+    /// The tier counters are process-global and tests run concurrently:
+    /// every test here runs rings, moving counters that others assert
+    /// exact deltas of, so each holds this lock.
+    static COUNTERS: Mutex<()> = Mutex::new(());
+
+    fn counters() -> MutexGuard<'static, ()> {
+        COUNTERS.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn ring_map_matches_paper_fig6() {
+        let _counters = counters();
         let out = ring_map(
             times_ten(),
             vec![3.into(), 7.into(), 8.into()],
@@ -508,6 +616,7 @@ mod tests {
 
     #[test]
     fn ring_map_first_ten_of_large_list() {
+        let _counters = counters();
         // Fig. 6 shows the first ten inputs/outputs of a long list.
         let items: Vec<Value> = (1..=1000).map(|n| Value::Number(n as f64)).collect();
         let out = ring_map(times_ten(), items, RingMapOptions::default()).unwrap();
@@ -520,6 +629,7 @@ mod tests {
 
     #[test]
     fn pooled_map_runs_the_columnar_batch_tier() {
+        let _counters = counters();
         // The columnar contract: a numeric ring over an all-Number list
         // must run eval_batch over flat chunks, not per-element calls.
         // Counters are global, so assert deltas: 64 items → at least 64
@@ -554,6 +664,7 @@ mod tests {
 
     #[test]
     fn disabled_columnar_runs_the_scalar_fastpath() {
+        let _counters = counters();
         // The pre-columnar contract still holds under
         // ColumnarPolicy::Disabled: per-element unboxed fastpath calls.
         let fast_before = snap_trace::well_known::RING_FASTPATH_CALLS.get();
@@ -578,6 +689,7 @@ mod tests {
 
     #[test]
     fn mixed_type_lists_fall_back_to_per_element_calls() {
+        let _counters = counters();
         // One Text element spoils the columnar scan; output must still
         // be correct and the fallback counter must tick.
         let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
@@ -591,6 +703,7 @@ mod tests {
 
     #[test]
     fn small_lists_skip_the_columnar_scan() {
+        let _counters = counters();
         // Below COLUMNAR_MIN_ITEMS the per-element path runs directly —
         // and without counting a fallback (nothing was declined).
         let fallback_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
@@ -607,6 +720,7 @@ mod tests {
 
     #[test]
     fn columnar_and_scalar_agree_elementwise() {
+        let _counters = counters();
         let items: Vec<Value> = (0..500).map(|n| Value::Number(n as f64 * 0.73)).collect();
         let on = ring_map(times_ten(), items.clone(), RingMapOptions::default()).unwrap();
         let off = ring_map(
@@ -623,6 +737,7 @@ mod tests {
 
     #[test]
     fn copy_isolation_protects_caller_lists() {
+        let _counters = counters();
         // The ring reports its input list unchanged; under Copy isolation
         // the outputs must not alias the inputs.
         let identity = Arc::new(Ring::reporter(empty_slot()));
@@ -639,6 +754,7 @@ mod tests {
 
     #[test]
     fn share_isolation_aliases() {
+        let _counters = counters();
         let identity = Arc::new(Ring::reporter(empty_slot()));
         let shared = snap_ast::List::from_vec(vec![1.into()]);
         let out = ring_map(
@@ -656,12 +772,14 @@ mod tests {
 
     #[test]
     fn impure_ring_is_rejected() {
+        let _counters = counters();
         let ring = Arc::new(Ring::reporter(pick_random(num(1.0), num(6.0))));
         assert!(ring_map(ring, vec![1.into()], RingMapOptions::default()).is_err());
     }
 
     #[test]
     fn eval_errors_propagate_from_workers() {
+        let _counters = counters();
         // item 5 of the (too short) input list → index error on workers.
         let ring = Arc::new(Ring::reporter(item(num(5.0), empty_slot())));
         let items = vec![Value::list(vec![1.into()]), Value::list(vec![2.into()])];
@@ -671,6 +789,7 @@ mod tests {
 
     #[test]
     fn ring_map_pairs_validates_shape() {
+        let _counters = counters();
         let good = Arc::new(Ring::reporter_with_params(
             vec!["w".into()],
             make_list(vec![var("w"), num(1.0)]),
@@ -683,6 +802,7 @@ mod tests {
 
     #[test]
     fn ring_reduce_groups_reduces_each_key() {
+        let _counters = counters();
         let sum = Arc::new(Ring::reporter_with_params(
             vec!["vals".into()],
             combine_using(var("vals"), ring_reporter(add(empty_slot(), empty_slot()))),
@@ -699,5 +819,75 @@ mod tests {
                 Value::list(vec!["b".into(), 10.into()]),
             ]
         );
+    }
+
+    #[test]
+    fn map_chunk_batches_a_column_through_a_batchable_ring() {
+        let _counters = counters();
+        let f = compile_cached(&times_ten()).unwrap();
+        let chunks_before = snap_trace::well_known::PAR_COLUMNAR_CHUNKS.get();
+        let out = map_chunk(&f, &Chunk::Columnar(vec![1.5, -0.0]), Isolation::Copy).unwrap();
+        assert_eq!(out, Chunk::Columnar(vec![15.0, -0.0]));
+        assert_eq!(
+            snap_trace::well_known::PAR_COLUMNAR_CHUNKS.get(),
+            chunks_before + 1
+        );
+    }
+
+    #[test]
+    fn map_chunk_calls_per_item_otherwise() {
+        let _counters = counters();
+        let fallbacks_before = snap_trace::well_known::RING_BATCH_FALLBACKS.get();
+        // A boxed chunk through a batchable ring: one call per item,
+        // numeric text coerced as the tree walk does.
+        let f = compile_cached(&times_ten()).unwrap();
+        let boxed = Chunk::Boxed(vec![Value::text(" 4 "), 2.into()]);
+        let out = map_chunk(&f, &boxed, Isolation::Copy).unwrap();
+        assert_eq!(out, Chunk::Boxed(vec![40.into(), 20.into()]));
+        // A column through a ring that is not batchable: boxed results.
+        let pair = Arc::new(Ring::reporter(make_list(vec![text("k"), empty_slot()])));
+        let f = compile_cached(&pair).unwrap();
+        let out = map_chunk(&f, &Chunk::Columnar(vec![3.0]), Isolation::Copy).unwrap();
+        assert_eq!(
+            out,
+            Chunk::Boxed(vec![Value::list(vec!["k".into(), 3.into()])])
+        );
+        // The kernel never counts a fallback: that is per ring_map call.
+        assert_eq!(
+            snap_trace::well_known::RING_BATCH_FALLBACKS.get(),
+            fallbacks_before
+        );
+    }
+
+    #[test]
+    fn chunk_pack_makes_a_column_only_of_numbers() {
+        let _counters = counters();
+        let mut buf: Vec<Value> = vec![1.into(), f64::NAN.into()];
+        let column = Chunk::pack(&mut buf);
+        assert!(buf.is_empty());
+        assert!(matches!(&column, Chunk::Columnar(xs) if xs.len() == 2 && xs[1].is_nan()));
+        let mut buf: Vec<Value> = vec![1.into(), Value::text("1")];
+        let boxed = Chunk::pack(&mut buf);
+        assert_eq!(boxed, Chunk::Boxed(vec![1.into(), Value::text("1")]));
+        assert_eq!(boxed.len(), 2);
+        assert_eq!(column.into_values()[0], Value::Number(1.0));
+    }
+
+    #[test]
+    fn call_item_and_call_group_copy_across_the_boundary() {
+        let _counters = counters();
+        let identity = compile_cached(&Arc::new(Ring::reporter(empty_slot()))).unwrap();
+        let shared = snap_ast::List::from_vec(vec![1.into()]);
+        let item = Value::List(shared.clone());
+        let copied = call_item(&identity, &item, Isolation::Copy).unwrap();
+        let aliased = call_item(&identity, &item, Isolation::Share).unwrap();
+        let grouped = call_group(&identity, &"k".into(), &[item], Isolation::Copy).unwrap();
+        shared.add(2.into());
+        assert_eq!(copied.as_list().unwrap().len(), 1);
+        assert_eq!(aliased.as_list().unwrap().len(), 2);
+        // `[key, [values…]]`: the group's value list holds a copy too.
+        let reduced = grouped.as_list().unwrap().item(2).unwrap();
+        let first = reduced.as_list().unwrap().item(1).unwrap();
+        assert_eq!(first.as_list().unwrap().len(), 1);
     }
 }

@@ -67,6 +67,18 @@ cargo run --release -p bench --bin trace_check -- \
   --require-counter ring.batch_calls --require-counter par.columnar_chunks \
   --forbid-counter ring.batch_fallbacks
 
+echo "==> traced example: climate --stream (stream blocks must stay columnar)"
+cargo run --release --example climate -- --stream 512 \
+  --trace target/ci/climate_stream_trace.json \
+  > target/ci/climate_stream.txt
+
+echo "==> validate climate stream trace + assert the columnar block path ran, nothing dropped"
+cargo run --release -p bench --bin trace_check -- \
+  target/ci/climate_stream_trace.json target/ci/climate_stream_trace.json.report.json \
+  --require-counter par.columnar_chunks --require-counter ring.batch_calls \
+  --require-counter stream.windows \
+  --forbid-counter ring.batch_fallbacks --forbid-counter stream.items_dropped
+
 echo "==> traced example: word_count --stream (streaming tier must engage)"
 cargo run --release --example word_count -- --stream 64 \
   --trace target/ci/word_count_stream_trace.json \
